@@ -3,7 +3,8 @@ deterministic JSON report.
 
 Exit codes: 0 when every check in the report passed, 1 when a check
 failed, 2 on input errors (unparseable scenario, violated invariant,
-missing fields, or an operation blocked by a point mass).
+missing fields, a mistyped or out-of-range integer input, or an
+operation blocked by a point mass).
 """
 
 from __future__ import annotations
@@ -40,21 +41,32 @@ from .splitting import (
 )
 from .uniform import build_dyadic_family, build_uniform, level_scan, level_set
 
-COMMANDS = (
-    "check",
-    "split",
-    "shrink",
-    "family",
-    "uniform",
-    "scan",
-    "kernel",
-    "densities",
-    "selftest",
-)
+# Resource caps on the integer inputs: a family holds 2**depth + 1
+# events, and the uniform check evaluates one level set per grid point.
+MAX_DEPTH = 12
+MAX_GRID = 4096
 
 
 class InputError(ValueError):
-    """Scenario is missing something the command needs."""
+    """The scenario or a flag does not give the command a usable input."""
+
+
+def _int_input(
+    opts: dict, flag: str, params: dict, key: str, default: int, minimum: int, cap=None
+) -> int:
+    """The --flag value when given, else params[key], else the default.
+    A supplied value must be an int (not a bool) in [minimum, cap]."""
+    if opts.get(flag) is not None:
+        where, value = f"--{flag}", opts[flag]
+    elif key in params:
+        where, value = f"params.{key}", params[key]
+    else:
+        return default
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise InputError(f"{where} must be an integer >= {minimum}, got {value!r}")
+    if cap is not None and value > cap:
+        raise InputError(f"{where} is {value}, above the cap of {cap}")
+    return value
 
 
 def _named_set(scenario: Scenario, params: dict, default: str, whole_ok: bool = True):
@@ -106,7 +118,7 @@ def _cmd_split(scenario: Scenario, opts: dict) -> dict:
 
 def _cmd_shrink(scenario: Scenario, opts: dict) -> dict:
     name, c = _named_set(scenario, scenario.params, "C")
-    n = opts.get("count") or scenario.params.get("n", 5)
+    n = _int_input(opts, "count", scenario.params, "n", 5, minimum=0)
     fibers = frozenset(scenario.params.get("fibers", range(scenario.space.n_fibers)))
     chain = shrink_sequence(scenario.space, c, fibers, n)
     conds = [scenario.space.cond_expectation(e) for e in chain]
@@ -123,7 +135,7 @@ def _cmd_shrink(scenario: Scenario, opts: dict) -> dict:
 
 
 def _cmd_family(scenario: Scenario, opts: dict) -> dict:
-    depth = opts.get("depth") or scenario.params.get("depth", 3)
+    depth = _int_input(opts, "depth", scenario.params, "depth", 3, minimum=0, cap=MAX_DEPTH)
     family = build_dyadic_family(scenario.space, depth)
     exact = all(
         all(c == t for c in scenario.space.cond_expectation(family.sets[t]))
@@ -145,7 +157,7 @@ def _cmd_family(scenario: Scenario, opts: dict) -> dict:
 def _cmd_uniform(scenario: Scenario, opts: dict) -> dict:
     space = scenario.space
     rv = build_uniform(space)
-    grid = opts.get("count") or scenario.params.get("count", 64)
+    grid = _int_input(opts, "count", scenario.params, "count", 64, minimum=1, cap=MAX_GRID)
     exact = all(
         all(c == Fraction(k, grid) for c in space.cond_expectation(level_set(rv, Fraction(k, grid))))
         for k in range(1, grid + 1)
@@ -225,28 +237,33 @@ def _cmd_densities(scenario: Scenario, opts: dict) -> dict:
     }
 
 
+def _cmd_selftest(scenario: Scenario | None, opts: dict) -> dict:
+    seed = opts.get("seed")
+    seed = 42 if seed is None else seed
+    count = _int_input(opts, "count", {}, "count", 200, minimum=1)
+    return report_data(run_all(seed, count=count), seed=seed, count=count)
+
+
+COMMANDS = {
+    "check": _cmd_check,
+    "split": _cmd_split,
+    "shrink": _cmd_shrink,
+    "family": _cmd_family,
+    "uniform": _cmd_uniform,
+    "scan": _cmd_scan,
+    "kernel": _cmd_kernel,
+    "densities": _cmd_densities,
+    "selftest": _cmd_selftest,
+}
+
+
 def run(command: str, scenario: Scenario | None, **opts) -> dict:
     """Dispatch one command and return the report dictionary."""
-    if command == "selftest":
-        seed = opts.get("seed")
-        seed = 42 if seed is None else seed
-        count = opts.get("count") or 200
-        return report_data(run_all(seed, count=count), seed=seed, count=count)
     if command not in COMMANDS:
         raise InputError(f"unknown command {command!r}")
-    if scenario is None:
+    if scenario is None and command != "selftest":
         raise InputError(f"command {command!r} needs --scenario")
-    handler = {
-        "check": _cmd_check,
-        "split": _cmd_split,
-        "shrink": _cmd_shrink,
-        "family": _cmd_family,
-        "uniform": _cmd_uniform,
-        "scan": _cmd_scan,
-        "kernel": _cmd_kernel,
-        "densities": _cmd_densities,
-    }[command]
-    data = handler(scenario, opts)
+    data = COMMANDS[command](scenario, opts)
     data["command"] = command
     data["status"] = "pass" if all(data.get("checks", {}).values()) else "fail"
     return data
@@ -284,13 +301,9 @@ def main(argv=None) -> int:
             depth=args.depth,
             count=args.count,
         )
-    except (ScenarioError, InvariantError, MismatchError, InputError) as e:
-        print(f"condatom: {e}", file=sys.stderr)
-        return 2
-    except AtomObstruction as e:
-        print(f"condatom: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (
+        ScenarioError, InvariantError, MismatchError, InputError, AtomObstruction, OSError
+    ) as e:
         print(f"condatom: {e}", file=sys.stderr)
         return 2
     text = report_to_text(data)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .intervals import ZERO
+from .intervals import ONE, ZERO
 from .space import (
     Fiber,
     FiberedSpace,
@@ -227,15 +227,33 @@ def conditionally_atomless(family: MeasureFamily) -> bool:
     return site_witness(family) is None
 
 
-def _ordered_blocks(family: MeasureFamily, partition: CellPartition):
+def _block_layouts(family: MeasureFamily, partition: CellPartition):
+    """Per positive-mass block, in the order of its first cell along the
+    fibers: its mixture mass and the cumulative-mass layout of its
+    positive-mass cells in position order, as (cell index, u_lo, u_hi)
+    with u_hi - u_lo = cell mass / block mass."""
+
     def position(c):
         cell = family.cells[c]
         return cell.fiber, cell.lo, cell.hi
 
+    base = mixture(family)
     grouped: dict[int, list[int]] = {}
     for c in sorted(range(family.n_cells), key=position):
         grouped.setdefault(partition.blocks[c], []).append(c)
-    return grouped
+    out = {}
+    for block, members in grouped.items():
+        mass = sum((base[c] for c in members), ZERO)
+        spans = []
+        cum = ZERO
+        for c in members:
+            if base[c] > 0:
+                nxt = cum + base[c] / mass
+                spans.append((c, cum, nxt))
+                cum = nxt
+        if spans:
+            out[block] = mass, tuple(spans)
+    return out
 
 
 def block_uniform_transform(
@@ -247,25 +265,14 @@ def block_uniform_transform(
     The variable that is uniform within every block reads off a cell's
     span linearly; point sites would occupy a span of positive length
     with all mass at one value, so the transform refuses them."""
-    base = mixture(family)
     out = {}
-    for block, members in _ordered_blocks(family, partition).items():
-        mass = sum((base[c] for c in members), ZERO)
-        if mass == 0:
-            continue
-        spans = []
-        cum = ZERO
-        for c in members:
-            if base[c] == 0:
-                continue
+    for block, (_, spans) in _block_layouts(family, partition).items():
+        for c, _, _ in spans:
             if family.cells[c].is_site:
                 raise InvariantError(
                     f"cell {c} is a point site with positive mass; no uniform transform"
                 )
-            nxt = cum + base[c] / mass
-            spans.append((c, cum, nxt))
-            cum = nxt
-        out[block] = tuple(spans)
+        out[block] = spans
     return out
 
 
@@ -290,27 +297,12 @@ def to_fibered_space(family: MeasureFamily, partition: CellPartition) -> Fibered
     becomes one fiber, its cells laid out on [0, 1] by cumulative mass.
     Interval cells become unit-density stretches, point sites become
     atoms at the start of a zero-density stretch of their span."""
-    base = mixture(family)
     fibers = []
-    for block, members in sorted(_ordered_blocks(family, partition).items()):
-        mass = sum((base[c] for c in members), ZERO)
-        if mass == 0:
-            continue
-        breakpoints = [ZERO]
-        densities = []
-        atoms = []
-        cum = ZERO
-        for c in members:
-            if base[c] == 0:
-                continue
-            nxt = cum + base[c] / mass
-            if family.cells[c].is_site:
-                atoms.append((cum, base[c] / mass))
-                densities.append(ZERO)
-            else:
-                densities.append(Fraction(1))
-            breakpoints.append(nxt)
-            cum = nxt
+    for _, (mass, spans) in sorted(_block_layouts(family, partition).items()):
+        sites = [family.cells[c].is_site for c, _, _ in spans]
+        atoms = [(lo, hi - lo) for (_, lo, hi), site in zip(spans, sites) if site]
+        densities = [ZERO if site else ONE for site in sites]
+        breakpoints = [ZERO] + [hi for _, _, hi in spans]
         if breakpoints[-1] != 1:
             raise AssertionError("block layout does not fill [0, 1]")
         fibers.append(

@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .intervals import ONE, ZERO
-from .space import InvariantError, as_fraction
+from .space import InvariantError, as_fraction, quantile_walk
 
 
 @dataclass(frozen=True)
@@ -78,20 +78,12 @@ class PiecewiseLinear:
     def compose(self, inner: PiecewiseLinear) -> PiecewiseLinear:
         """The map y -> self(inner(y)); inner must be nondecreasing.
 
-        New nodes are inner's nodes plus the preimages of self's nodes
-        under each strictly increasing piece of inner, so the result is
-        exactly linear between consecutive nodes.
+        New nodes are inner's nodes plus the leftmost preimages under
+        inner of self's nodes in its range, read off the quantile walk,
+        so the result is exactly linear between consecutive nodes.
         """
         if not inner.nondecreasing:
             raise ValueError("inner map must be nondecreasing")
-        nodes = set(inner.xs)
-        for j in range(len(inner.xs) - 1):
-            x0, x1 = inner.xs[j], inner.xs[j + 1]
-            v0, v1 = inner.ys[j], inner.ys[j + 1]
-            if v1 == v0:
-                continue
-            for t in self.xs:
-                if v0 < t < v1:
-                    nodes.add(x0 + (t - v0) * (x1 - x0) / (v1 - v0))
-        xs = tuple(sorted(nodes))
+        levels = [t for t in self.xs if inner.ys[0] < t <= inner.ys[-1]]
+        xs = tuple(sorted(set(inner.xs).union(quantile_walk(inner.xs, inner.ys, levels))))
         return PiecewiseLinear(xs, tuple(self.at(inner.at(x)) for x in xs))

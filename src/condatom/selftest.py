@@ -313,9 +313,9 @@ def _halving_family(space, depth: int) -> DyadicFamily:
 
 def construction_agreement(seed, instances: int = 20, depth: int = 10) -> CriterionResult:
     """Two independent constructions agree at every dyadic level: the
-    repeated-halving family (_halving_family) and the direct left fill
-    (set_at_level) have equal per-fiber masses and a symmetric
-    difference of mass 0."""
+    repeated-halving family (_halving_family, built with split) and the
+    quantile walk (set_at_level) have equal per-fiber masses and a
+    symmetric difference of mass 0."""
     rng = rng_for(seed, "construction-agreement")
     bad = 0
     for _ in range(instances):

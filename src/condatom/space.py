@@ -10,6 +10,7 @@ is exact; nothing in this package rounds.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +43,36 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise InvariantError(f"floating point value {value!r} is not exact")
     return Fraction(value)
+
+
+def quantile_walk(xs, ys, levels) -> tuple[Fraction, ...]:
+    """For each t of the nondecreasing levels, each in (ys[0], ys[-1]],
+    the leftmost x at which the nondecreasing piecewise-linear graph
+    through the nodes (xs, ys) reaches t.
+
+    One merge walk of the levels against the node values, so a call
+    costs O(levels + nodes). The piece holding x is the first whose
+    right-end value reaches t; its left-end value is below t, so it
+    rises and x solves the linear equation there, never landing inside
+    a flat stretch. Each rising piece's inverse slope is computed once.
+    """
+    out = []
+    prev = ys[0]
+    j = 0
+    run = None
+    for t in levels:
+        if not ys[0] < t <= ys[-1] or t < prev:
+            raise InvariantError(
+                f"quantile levels must be nondecreasing in ({ys[0]}, {ys[-1]}], got {t}"
+            )
+        prev = t
+        while ys[j + 1] < t:
+            j += 1
+            run = None
+        if run is None:
+            run = (xs[j + 1] - xs[j]) / (ys[j + 1] - ys[j])
+        out.append(xs[j] + (t - ys[j]) * run)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -140,28 +171,8 @@ class FiberMeasure:
 
     def quantiles(self, levels) -> tuple[Fraction, ...]:
         """For each t of the nondecreasing levels, each in (0, diffuse_total],
-        the leftmost y with diffuse mass of [0, y) exactly t.
-
-        One merge walk of the levels against the cumulative masses, so a
-        call costs O(levels + pieces). The piece holding y is the first
-        whose right-end cumulative reaches t; its left-end cumulative is
-        below t, so its density is positive and y solves the linear mass
-        equation there, never landing inside a zero-density stretch.
-        """
-        cum, bps, dens = self.diffuse_cumulative, self.breakpoints, self.densities
-        out = []
-        prev = ZERO
-        j = 0
-        for t in levels:
-            if not 0 < t <= cum[-1] or t < prev:
-                raise InvariantError(
-                    f"quantile levels must be nondecreasing in (0, {cum[-1]}], got {t}"
-                )
-            prev = t
-            while cum[j + 1] < t:
-                j += 1
-            out.append(bps[j] + (t - cum[j]) / dens[j])
-        return tuple(out)
+        the leftmost y with diffuse mass of [0, y) exactly t."""
+        return quantile_walk(self.breakpoints, self.diffuse_cumulative, levels)
 
     def diffuse_mass(self, intervals: IntervalList) -> Fraction:
         total = ZERO
@@ -249,40 +260,28 @@ class EventSet:
                 f"events span {len(self.slices)} and {len(other.slices)} fibers"
             )
 
-    def union(self, other: EventSet) -> EventSet:
+    def _per_fiber(self, other: EventSet, intervals_op, picks_op) -> EventSet:
+        """Apply one set operation fiber by fiber: intervals_op to the
+        interval lists, picks_op to the pick sets."""
         self._check(other)
         return EventSet(
             tuple(
                 FiberSlice.trusted(
-                    union(a.intervals, b.intervals), tuple(sorted(set(a.picks) | set(b.picks)))
+                    intervals_op(a.intervals, b.intervals),
+                    tuple(sorted(picks_op(set(a.picks), set(b.picks)))),
                 )
                 for a, b in zip(self.slices, other.slices)
             )
         )
+
+    def union(self, other: EventSet) -> EventSet:
+        return self._per_fiber(other, union, operator.or_)
 
     def intersect(self, other: EventSet) -> EventSet:
-        self._check(other)
-        return EventSet(
-            tuple(
-                FiberSlice.trusted(
-                    intersect(a.intervals, b.intervals),
-                    tuple(sorted(set(a.picks) & set(b.picks))),
-                )
-                for a, b in zip(self.slices, other.slices)
-            )
-        )
+        return self._per_fiber(other, intersect, operator.and_)
 
     def difference(self, other: EventSet) -> EventSet:
-        self._check(other)
-        return EventSet(
-            tuple(
-                FiberSlice.trusted(
-                    difference(a.intervals, b.intervals),
-                    tuple(sorted(set(a.picks) - set(b.picks))),
-                )
-                for a, b in zip(self.slices, other.slices)
-            )
-        )
+        return self._per_fiber(other, difference, operator.sub)
 
     def symmetric_difference(self, other: EventSet) -> EventSet:
         return self.difference(other).union(other.difference(self))
@@ -299,15 +298,9 @@ class EventSet:
 
 def combine(op: str, a: EventSet, b: EventSet) -> EventSet:
     """Set-algebra entry point; op is one of union, intersect, difference."""
-    try:
-        method = {
-            "union": EventSet.union,
-            "intersect": EventSet.intersect,
-            "difference": EventSet.difference,
-        }[op]
-    except KeyError:
-        raise ValueError(f"unknown set operation {op!r}") from None
-    return method(a, b)
+    if op not in ("union", "intersect", "difference"):
+        raise ValueError(f"unknown set operation {op!r}")
+    return getattr(a, op)(b)
 
 
 @dataclass(frozen=True)

@@ -205,7 +205,7 @@ def shrink_sequence(
     cond = space.cond_expectation(event)
     for i in fibers:
         if cond[i] == 0:
-            raise ValueError(f"fiber {i} has zero slice mass")
+            raise InvariantError(f"fiber {i} has zero slice mass")
     hs = tuple(HALF if i in fibers else Fraction(1) for i in range(space.n_fibers))
     out = [event]
     for _ in range(n):

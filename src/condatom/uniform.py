@@ -10,10 +10,11 @@ constructive proof, repeated exact halving of the gaps between
 consecutive sets, yields the same sets; it is kept in condatom.selftest
 as one side of the construction-agreement criterion and pinned set for
 set against this family by the unit tests. set_at_level produces any
-level in one step as a left fill, and build_uniform packages the
-per-fiber conditional CDFs, whose strict level sets reproduce the family
-up to null sets. level_scan finds a level whose intersection with a
-given event is conditionally strictly between empty and full.
+single level, and level_set the strict level sets of the per-fiber
+conditional CDFs that build_uniform packages; all three read their
+prefixes off the same walk (space.quantile_walk). level_scan finds a
+level whose intersection with a given event is conditionally strictly
+between empty and full.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from .space import (
     FiberSlice,
     InvariantError,
     as_fraction,
+    quantile_walk,
 )
-from .splitting import AtomObstruction, atom_witness, split
+from .splitting import AtomObstruction, atom_witness
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,10 @@ def build_dyadic_family(space: FiberedSpace, depth: int) -> DyadicFamily:
 
 
 def set_at_level(space: FiberedSpace, t) -> EventSet:
-    """The event of per-fiber mass exactly t, as a direct left fill."""
+    """The event of per-fiber mass exactly t: on every fiber the prefix
+    [0, q_t) read off the quantile walk. A fiber whose diffuse mass is
+    below t cannot reach it, since point masses cannot be cut; its first
+    atom is named in the AtomObstruction."""
     t = as_fraction(t)
     if not 0 <= t <= 1:
         raise InvariantError(f"level {t} outside [0,1]")
@@ -100,7 +105,13 @@ def set_at_level(space: FiberedSpace, t) -> EventSet:
         return space.empty_event()
     if t == 1:
         return space.whole_event()
-    return split(space, space.whole_event(), tuple(t for _ in range(space.n_fibers)))
+    out = []
+    for i, fiber in enumerate(space.fibers):
+        m = fiber.measure
+        if t > m.diffuse_total:
+            raise AtomObstruction(i, m.atoms[0][0])
+        out.append(FiberSlice.trusted(((ZERO, m.quantiles((t,))[0]),)))
+    return EventSet(tuple(out))
 
 
 def build_uniform(space: FiberedSpace) -> UniformRV:
@@ -114,18 +125,9 @@ def build_uniform(space: FiberedSpace) -> UniformRV:
     )
 
 
-def _leftmost_reaching(u: PiecewiseLinear, t: Fraction) -> Fraction:
-    """Smallest y with u(y) >= t; assumes 0 < t <= u(1)."""
-    for j in range(1, len(u.ys)):
-        if u.ys[j] >= t:
-            y0, y1 = u.ys[j - 1], u.ys[j]
-            x0, x1 = u.xs[j - 1], u.xs[j]
-            return x0 + (t - y0) * (x1 - x0) / (y1 - y0)
-    raise AssertionError("level above the CDF maximum")
-
-
 def level_set(rv: UniformRV, t) -> EventSet:
-    """The event {u < t}, per fiber a prefix [0, y) of the line."""
+    """The event {u < t}, per fiber a prefix [0, y) of the line, with y
+    read off the quantile walk of the fiber's CDF."""
     t = as_fraction(t)
     out = []
     for u in rv.cdfs:
@@ -134,8 +136,7 @@ def level_set(rv: UniformRV, t) -> EventSet:
         elif t > u.ys[-1]:
             out.append(FiberSlice.trusted(((ZERO, ONE),)))
         else:
-            y = _leftmost_reaching(u, t)
-            out.append(FiberSlice.trusted(((ZERO, y),)) if y > 0 else FiberSlice())
+            out.append(FiberSlice.trusted(((ZERO, quantile_walk(u.xs, u.ys, (t,))[0]),)))
     return EventSet(tuple(out))
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from condatom.cli import main, run
+from condatom.cli import MAX_DEPTH, MAX_GRID, main, run
 from condatom.scenario import parse_scenario
 
 LEBESGUE_SCENARIO = json.dumps(
@@ -136,3 +136,68 @@ def test_main_returns_exit_code(scenario_file, capsys):
     assert main(["check", "--scenario", str(scenario_file)]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["status"] == "pass"
+
+
+UNIFORM_FIBER = {"weight": "1/2", "breakpoints": ["0", "1"], "densities": ["1"]}
+TWO_UNIFORM = {"space": {"fibers": [UNIFORM_FIBER, UNIFORM_FIBER]}}
+
+
+class TestInputErrors:
+    """Bad inputs exit 2 with a message, never a traceback or a vacuous pass."""
+
+    @staticmethod
+    def main_on(tmp_path, body, argv):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(body))
+        return main([argv[0], "--scenario", str(path), *argv[1:]])
+
+    def test_shrink_on_zero_mass_slice(self, tmp_path, capsys):
+        body = {**TWO_UNIFORM, "sets": {"C": [{"intervals": [["0", "1/2"]]}, {"intervals": []}]}}
+        assert self.main_on(tmp_path, body, ["shrink"]) == 2
+        assert "fiber 1 has zero slice mass" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "params,argv",
+        [
+            ({"depth": "3"}, ["family"]),
+            ({"depth": True}, ["family"]),
+            ({"n": "x"}, ["shrink"]),
+            ({"count": "64"}, ["uniform"]),
+            ({}, ["uniform", "--count", "-3"]),
+            ({}, ["uniform", "--count", "0"]),
+            ({}, ["family", "--depth", "-1"]),
+        ],
+    )
+    def test_mistyped_or_out_of_range_integer(self, tmp_path, capsys, params, argv):
+        assert self.main_on(tmp_path, {**TWO_UNIFORM, "params": params}, argv) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+    def test_selftest_count_zero(self, capsys):
+        assert main(["selftest", "--count", "0"]) == 2
+        assert "--count must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "params,argv",
+        [
+            ({"depth": MAX_DEPTH + 1}, ["family"]),
+            ({}, ["family", "--depth", str(MAX_DEPTH + 1)]),
+            ({"count": MAX_GRID + 1}, ["uniform"]),
+            ({}, ["uniform", "--count", str(MAX_GRID + 1)]),
+        ],
+    )
+    def test_caps_reject_one_past(self, tmp_path, capsys, params, argv):
+        assert self.main_on(tmp_path, {**TWO_UNIFORM, "params": params}, argv) == 2
+        assert "above the cap" in capsys.readouterr().err
+
+    def test_depth_zero_is_honoured(self, tmp_path, capsys):
+        assert self.main_on(tmp_path, TWO_UNIFORM, ["family", "--depth", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["depth"] == 0
+        assert sorted(report["levels"]) == ["0", "1"]
+
+    def test_flag_overrides_params(self, tmp_path, capsys):
+        body = {**TWO_UNIFORM, "params": {"depth": "3", "count": 2}}
+        assert self.main_on(tmp_path, body, ["family", "--depth", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["depth"] == 1
+        assert self.main_on(tmp_path, body, ["uniform"]) == 0
+        assert json.loads(capsys.readouterr().out)["grid"] == 2

@@ -130,6 +130,16 @@ class TestPiecewiseMachinery:
         assert composed.at(F(1, 2)) == 0
         assert composed.definite_integral(F(0), F(1, 2)) == F(1, 4)
 
+    def test_compose_nodes_on_an_inner_map_with_offset_and_flat_stretch(self):
+        # u runs from 1/4 to 3/4 and is flat at 1/2 on [1/4, 1/2]; only
+        # g's nodes 3/8 and 5/8 lie strictly inside a rising piece of u
+        u = PiecewiseLinear((F(0), F(1, 4), F(1, 2), F(1)), (F(1, 4), F(1, 2), F(1, 2), F(3, 4)))
+        g_xs = (F(0), F(1, 8), F(3, 8), F(1, 2), F(5, 8), F(7, 8), F(1))
+        g = PiecewiseLinear(g_xs, tuple(F(k % 2) for k in range(len(g_xs))))
+        composed = g.compose(u)
+        assert composed.xs == (F(0), F(1, 8), F(1, 4), F(1, 2), F(3, 4), F(1))
+        assert composed.ys == tuple(g.at(u.at(x)) for x in composed.xs)
+
     def test_integral_is_exact_on_trapezoids(self):
         g = PiecewiseLinear((F(0), F(1, 4), F(1)), (F(1), F(1, 2), F(1, 2)))
         assert g.definite_integral() == F(3, 4) * F(1, 2) + F(1, 4) * F(3, 4)

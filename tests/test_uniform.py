@@ -16,6 +16,7 @@ from condatom import (
     level_scan,
     level_set,
     set_at_level,
+    split,
 )
 from condatom.generate import generate_space, rng_for
 from condatom.selftest import FULL_ATOMLESS, _halving_family
@@ -144,7 +145,7 @@ class TestUniformVariable:
         for k in range(0, 33):
             t = F(k, 32)
             via_cdf = level_set(rv, t)
-            direct = set_at_level(two_fiber_space, t)
+            direct = split(two_fiber_space, two_fiber_space.whole_event(), (t, t))
             assert two_fiber_space.cond_expectation(via_cdf) == two_fiber_space.cond_expectation(direct)
             assert two_fiber_space.measure(via_cdf.symmetric_difference(direct)) == 0
 
