@@ -42,9 +42,13 @@ from .splitting import (
 from .uniform import build_dyadic_family, build_uniform, level_scan, level_set
 
 # Resource caps on the integer inputs: a family holds 2**depth + 1
-# events, and the uniform check evaluates one level set per grid point.
+# events, the uniform check evaluates one level set per grid point, each
+# shrink step is an exact halving whose denominators keep growing, and
+# selftest runs its criteria once per instance.
 MAX_DEPTH = 12
 MAX_GRID = 4096
+MAX_CHAIN = 64
+MAX_INSTANCES = 1000
 
 
 class InputError(ValueError):
@@ -118,7 +122,7 @@ def _cmd_split(scenario: Scenario, opts: dict) -> dict:
 
 def _cmd_shrink(scenario: Scenario, opts: dict) -> dict:
     name, c = _named_set(scenario, scenario.params, "C")
-    n = _int_input(opts, "count", scenario.params, "n", 5, minimum=0)
+    n = _int_input(opts, "count", scenario.params, "n", 5, minimum=0, cap=MAX_CHAIN)
     fibers = frozenset(scenario.params.get("fibers", range(scenario.space.n_fibers)))
     chain = shrink_sequence(scenario.space, c, fibers, n)
     conds = [scenario.space.cond_expectation(e) for e in chain]
@@ -240,7 +244,7 @@ def _cmd_densities(scenario: Scenario, opts: dict) -> dict:
 def _cmd_selftest(scenario: Scenario | None, opts: dict) -> dict:
     seed = opts.get("seed")
     seed = 42 if seed is None else seed
-    count = _int_input(opts, "count", {}, "count", 200, minimum=1)
+    count = _int_input(opts, "count", {}, "count", 200, minimum=1, cap=MAX_INSTANCES)
     return report_data(run_all(seed, count=count), seed=seed, count=count)
 
 

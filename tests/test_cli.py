@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from condatom.cli import MAX_DEPTH, MAX_GRID, main, run
+from condatom.cli import MAX_CHAIN, MAX_DEPTH, MAX_GRID, MAX_INSTANCES, main, run
 from condatom.scenario import parse_scenario
 
 LEBESGUE_SCENARIO = json.dumps(
@@ -183,10 +183,16 @@ class TestInputErrors:
             ({}, ["family", "--depth", str(MAX_DEPTH + 1)]),
             ({"count": MAX_GRID + 1}, ["uniform"]),
             ({}, ["uniform", "--count", str(MAX_GRID + 1)]),
+            ({"n": MAX_CHAIN + 1}, ["shrink"]),
+            ({}, ["shrink", "--count", str(MAX_CHAIN + 1)]),
         ],
     )
     def test_caps_reject_one_past(self, tmp_path, capsys, params, argv):
         assert self.main_on(tmp_path, {**TWO_UNIFORM, "params": params}, argv) == 2
+        assert "above the cap" in capsys.readouterr().err
+
+    def test_selftest_count_cap_rejects_one_past(self, capsys):
+        assert main(["selftest", "--count", str(MAX_INSTANCES + 1)]) == 2
         assert "above the cap" in capsys.readouterr().err
 
     def test_depth_zero_is_honoured(self, tmp_path, capsys):
