@@ -73,9 +73,24 @@ def _int_input(
     return value
 
 
+def _fiber_input(params: dict, n_fibers: int) -> frozenset[int]:
+    """params.fibers when given, else every fiber. A supplied value must be
+    a list of fiber indices: ints (not bools) in [0, n_fibers)."""
+    value = params.get("fibers", list(range(n_fibers)))
+    if not isinstance(value, list) or any(
+        type(i) is not int or not 0 <= i < n_fibers for i in value
+    ):
+        raise InputError(
+            f"params.fibers must be a list of fiber indices in [0, {n_fibers}), got {value!r}"
+        )
+    return frozenset(value)
+
+
 def _named_set(scenario: Scenario, params: dict, default: str, whole_ok: bool = True):
     explicit = "set" in params
     name = params.get("set", default)
+    if not isinstance(name, str):
+        raise InputError(f"params.set must be a set name (a string), got {name!r}")
     if name in scenario.sets:
         return name, scenario.sets[name]
     if whole_ok and not explicit:
@@ -123,7 +138,7 @@ def _cmd_split(scenario: Scenario, opts: dict) -> dict:
 def _cmd_shrink(scenario: Scenario, opts: dict) -> dict:
     name, c = _named_set(scenario, scenario.params, "C")
     n = _int_input(opts, "count", scenario.params, "n", 5, minimum=0, cap=MAX_CHAIN)
-    fibers = frozenset(scenario.params.get("fibers", range(scenario.space.n_fibers)))
+    fibers = _fiber_input(scenario.params, scenario.space.n_fibers)
     chain = shrink_sequence(scenario.space, c, fibers, n)
     conds = [scenario.space.cond_expectation(e) for e in chain]
     nested = all(b.is_subset(a) for a, b in zip(chain, chain[1:]))

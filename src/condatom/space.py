@@ -11,7 +11,7 @@ is exact; nothing in this package rounds.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -55,10 +55,12 @@ def quantile_walk(xs, ys, levels) -> tuple[Fraction, ...]:
     right-end value reaches t; its left-end value is below t, so it
     rises and x solves the linear equation there, never landing inside
     a flat stretch. Each rising piece's inverse slope is computed once.
+    The walk starts at the first level's piece, found by bisection, so a
+    single level costs O(log nodes).
     """
     out = []
     prev = ys[0]
-    j = 0
+    j = bisect_left(ys, levels[0]) - 1 if levels else 0
     run = None
     for t in levels:
         if not ys[0] < t <= ys[-1] or t < prev:
@@ -145,18 +147,6 @@ class FiberMeasure:
     def pieces(self):
         for j, d in enumerate(self.densities):
             yield self.breakpoints[j], self.breakpoints[j + 1], d
-
-    def pieces_over(self, lo, hi):
-        """Constant-density subpieces of [lo, hi), in order."""
-        bps = self.breakpoints
-        j = bisect_right(bps, lo) - 1
-        if j < 0:
-            j = 0
-        while j < len(self.densities) and bps[j] < hi:
-            p, q = bps[j], bps[j + 1]
-            if q > lo:
-                yield max(p, lo), min(q, hi), self.densities[j]
-            j += 1
 
     def prefix_diffuse(self, x) -> Fraction:
         """Diffuse mass of [0, x)."""

@@ -2,12 +2,13 @@
 
 The workhorse is split(): given an event C and per-fiber coefficients h
 in [0, 1], it returns B inside C whose per-fiber mass is exactly h times
-that of C. The construction is a deterministic left fill: sweep C's
-intervals from the left, accumulate diffuse mass, and cut the last piece
-at the rational point solving the linear mass equation. Point masses can
-never be cut, so a strict interior target is reachable only through
-diffuse mass; when picked atoms make it unreachable the split raises
-AtomObstruction instead of approximating.
+that of C. The construction is a deterministic left fill read off the
+fiber's cumulative table: one prefix pass gives each of C's intervals
+its diffuse mass, and the first interval to reach the target is cut at
+the fiber's inverse CDF (space.quantile_walk) of the mass still missing.
+Point masses can never be cut, so a strict interior target is reachable
+only through diffuse mass; when picked atoms make it unreachable the
+split raises AtomObstruction instead of approximating.
 """
 
 from __future__ import annotations
@@ -69,31 +70,25 @@ def is_conditionally_atomless(space: FiberedSpace) -> bool:
     return atom_witness(space) is None
 
 
-def _left_fill(measure: FiberMeasure, intervals, target: Fraction):
-    """Leftmost sub-intervals of the given intervals with diffuse mass
-    exactly target. Requires 0 < target <= available diffuse mass."""
-    acc = ZERO
-    out: list[tuple[Fraction, Fraction]] = []
-
-    def push(p, q):
-        # pieces arrive in order; merge the touching ones
-        if out and out[-1][1] == p:
-            out[-1] = (out[-1][0], q)
-        else:
-            out.append((p, q))
-
+def _read(measure: FiberMeasure, intervals) -> tuple[list, Fraction]:
+    """One prefix pass over a slice's intervals: for each [lo, hi) the
+    diffuse mass of [0, lo) and of [lo, hi), and the slice's total."""
+    reading = []
     for lo, hi in intervals:
-        for p, q, d in measure.pieces_over(lo, hi):
-            gain = d * (q - p)
-            if acc + gain < target:
-                push(p, q)
-                acc += gain
-            elif acc + gain == target:
-                push(p, q)
-                return tuple(out)
-            else:
-                push(p, p + (target - acc) / d)
-                return tuple(out)
+        base = measure.prefix_diffuse(lo)
+        reading.append((base, measure.prefix_diffuse(hi) - base))
+    return reading, sum((gain for _, gain in reading), ZERO)
+
+
+def _left_fill(measure: FiberMeasure, intervals, reading, target: Fraction):
+    """Leftmost sub-intervals of the canonical intervals with diffuse mass
+    exactly target, 0 < target <= their diffuse mass. The cut is the
+    inverse CDF of the mass still missing, the leftmost such point."""
+    for k, (base, gain) in enumerate(reading):
+        if gain >= target:
+            cut = measure.quantiles((base + target,))[0]
+            return intervals[:k] + ((intervals[k][0], cut),)
+        target -= gain
     raise AssertionError("left fill target exceeds available diffuse mass")
 
 
@@ -102,7 +97,7 @@ def _split_slice(measure: FiberMeasure, part: FiberSlice, h: Fraction, fiber: in
         return part
     if h == 0:
         return FiberSlice()
-    diffuse = measure.diffuse_mass(part.intervals)
+    reading, diffuse = _read(measure, part.intervals)
     total = diffuse + measure.pick_mass(part.picks)
     if total == 0:
         return FiberSlice()
@@ -110,7 +105,7 @@ def _split_slice(measure: FiberMeasure, part: FiberSlice, h: Fraction, fiber: in
     if target > diffuse:
         # total > diffuse, so the slice holds at least one picked atom
         raise AtomObstruction(fiber, part.picks[0])
-    return FiberSlice.trusted(_left_fill(measure, part.intervals, target))
+    return FiberSlice.trusted(_left_fill(measure, part.intervals, reading, target))
 
 
 def split(space: FiberedSpace, event: EventSet, coefficients: FiberFunction) -> EventSet:
@@ -137,14 +132,16 @@ def split(space: FiberedSpace, event: EventSet, coefficients: FiberFunction) -> 
     )
 
 
-def _strictly_splittable(measure: FiberMeasure, part: FiberSlice) -> bool:
-    """A slice splits strictly unless its mass is zero or sits on one atom."""
-    total = measure.mass(part)
-    if total == 0:
-        return False
-    if measure.diffuse_mass(part.intervals) > 0:
-        return True
-    return len(part.picks) >= 2
+def _strict_readings(space: FiberedSpace, event: EventSet):
+    """Per fiber, the slice's prefix reading and diffuse mass when the
+    slice splits strictly, else None. A slice splits strictly unless its
+    mass is zero or sits on one atom: it needs diffuse mass or two picks."""
+    space.validate_event(event)
+    out = []
+    for f, part in zip(space.fibers, event.slices):
+        reading, diffuse = _read(f.measure, part.intervals)
+        out.append((reading, diffuse) if diffuse > 0 or len(part.picks) >= 2 else None)
+    return out
 
 
 def maximal_split_region(space: FiberedSpace, event: EventSet) -> FiberSet:
@@ -153,12 +150,7 @@ def maximal_split_region(space: FiberedSpace, event: EventSet) -> FiberSet:
     The event splits strictly on every fiber where it has positive mass
     iff this region equals {i : cond_expectation(event)_i > 0}.
     """
-    space.validate_event(event)
-    return frozenset(
-        i
-        for i, (f, part) in enumerate(zip(space.fibers, event.slices))
-        if _strictly_splittable(f.measure, part)
-    )
+    return frozenset(i for i, r in enumerate(_strict_readings(space, event)) if r)
 
 
 def strict_split_witness(
@@ -172,21 +164,20 @@ def strict_split_witness(
     mass (capped at the diffuse part when atoms carry the rest); on a
     purely atomic slice with two or more picks it keeps the first pick.
     """
-    region = maximal_split_region(space, event)
+    readings = _strict_readings(space, event)
+    region = frozenset(i for i, r in enumerate(readings) if r)
     if not region:
         return None
     out = []
-    for i, (fiber, part) in enumerate(zip(space.fibers, event.slices)):
-        if i not in region:
+    for fiber, part, r in zip(space.fibers, event.slices, readings):
+        if r is None:
             out.append(FiberSlice())
-            continue
-        m = fiber.measure
-        diffuse = m.diffuse_mass(part.intervals)
-        if diffuse > 0:
-            target = min(diffuse, m.mass(part) / 2)
-            out.append(FiberSlice(_left_fill(m, part.intervals, target), ()))
+        elif r[1] > 0:
+            m, (reading, diffuse) = fiber.measure, r
+            target = min(diffuse, (diffuse + m.pick_mass(part.picks)) / 2)
+            out.append(FiberSlice.trusted(_left_fill(m, part.intervals, reading, target)))
         else:
-            out.append(FiberSlice((), part.picks[:1]))
+            out.append(FiberSlice.trusted((), part.picks[:1]))
     return EventSet(tuple(out)), region
 
 

@@ -44,3 +44,48 @@ def staircase_value(family, fiber: int, y) -> Fraction:
         if point_in(family.sets[t].slices[fiber].intervals, y):
             return t
     return Fraction(1)
+
+
+def density_pieces(measure):
+    """(left, right, density) for each constant-density piece, in order."""
+    bps = measure.breakpoints
+    return list(zip(bps, bps[1:], measure.densities))
+
+
+def diffuse_in(measure, intervals) -> Fraction:
+    """Diffuse mass of an interval list: each interval's overlap with each
+    density piece, times that piece's density."""
+    total = Fraction(0)
+    for lo, hi in intervals:
+        for a, b, d in density_pieces(measure):
+            overlap = min(b, hi) - max(a, lo)
+            if overlap > 0:
+                total += d * overlap
+    return total
+
+
+def picked_weight(measure, picks) -> Fraction:
+    return sum((w for loc, w in measure.atoms if loc in set(picks)), Fraction(0))
+
+
+def left_fill(measure, intervals, target):
+    """Reference left fill: the leftmost sub-intervals of the canonical
+    intervals with diffuse mass exactly target, 0 < target <= available.
+
+    Walks every interval against every density piece from the left and
+    cuts inside the first piece whose mass reaches the target; that piece
+    has positive density, so the cut is the leftmost such point.
+    """
+    out = []
+    acc = Fraction(0)
+    for lo, hi in intervals:
+        for a, b, d in density_pieces(measure):
+            p, q = max(a, lo), min(b, hi)
+            if p >= q:
+                continue
+            if acc + d * (q - p) >= target:
+                out.append((lo, p + (target - acc) / d))
+                return tuple(out)
+            acc += d * (q - p)
+        out.append((lo, hi))
+    raise ValueError("left fill target exceeds the available diffuse mass")

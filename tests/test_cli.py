@@ -195,6 +195,35 @@ class TestInputErrors:
         assert main(["selftest", "--count", str(MAX_INSTANCES + 1)]) == 2
         assert "above the cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fibers", [["x"], "0", "x", True, [True], [2], [-1]])
+    def test_mistyped_or_out_of_range_fibers(self, tmp_path, capsys, fibers):
+        body = {**TWO_UNIFORM, "params": {"fibers": fibers}}
+        assert self.main_on(tmp_path, body, ["shrink"]) == 2
+        assert "params.fibers must be a list of fiber indices" in capsys.readouterr().err
+
+    def test_fibers_in_range_are_honoured(self, tmp_path, capsys):
+        body = {**TWO_UNIFORM, "params": {"fibers": [1, 1], "n": 2}}
+        assert self.main_on(tmp_path, body, ["shrink"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["fibers"] == [1]
+        assert report["conditional"][-1] == ["1", "1/4"]
+        # no designated fiber: every step keeps C
+        body["params"]["fibers"] = []
+        assert self.main_on(tmp_path, body, ["shrink"]) == 0
+        assert json.loads(capsys.readouterr().out)["conditional"][-1] == ["1", "1"]
+
+    @pytest.mark.parametrize("name", [["A"], 1, True, None])
+    @pytest.mark.parametrize("command", ["split", "shrink", "scan"])
+    def test_set_name_must_be_a_string(self, tmp_path, capsys, command, name):
+        body = {
+            **TWO_UNIFORM,
+            "sets": {"A": [{"intervals": [["0", "1/2"]]}, {"intervals": [["1/2", "1"]]}]},
+            "h": ["1/2", "1/2"],
+            "params": {"set": name},
+        }
+        assert self.main_on(tmp_path, body, [command]) == 2
+        assert "params.set must be a set name" in capsys.readouterr().err
+
     def test_depth_zero_is_honoured(self, tmp_path, capsys):
         assert self.main_on(tmp_path, TWO_UNIFORM, ["family", "--depth", "0"]) == 0
         report = json.loads(capsys.readouterr().out)

@@ -99,6 +99,9 @@ class TestMeasure:
         qs = m.quantiles(levels)
         assert qs == (F(1, 8), F(1, 4), F(1, 4), F(7, 8), F(1))
         assert tuple(m.prefix_diffuse(q) for q in qs) == levels
+        # one level per call starts at its piece by bisection: same points
+        assert tuple(m.quantiles((t,))[0] for t in levels) == qs
+        assert m.quantiles(()) == ()
 
     @pytest.mark.parametrize(
         "levels", [(F(1, 2), F(1, 4)), (F(0),), (F(3, 2),)], ids=["decreasing", "zero", "above"]

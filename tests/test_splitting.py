@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import grid_mass
+from oracles import diffuse_in, grid_mass, left_fill, picked_weight
 
 from condatom import (
     AtomObstruction,
@@ -19,7 +19,15 @@ from condatom import (
     split,
     strict_split_witness,
 )
-from condatom.generate import GeneratorParams, generate_positive_event, generate_space, rng_for
+from condatom.generate import (
+    GeneratorParams,
+    generate_coefficients,
+    generate_event,
+    generate_positive_event,
+    generate_space,
+    rng_for,
+)
+from condatom.selftest import FULL_ATOMLESS, FULL_MIXED
 
 F = Fraction
 
@@ -251,6 +259,142 @@ class TestShrinkSequence:
         space = single(LEBESGUE)
         with pytest.raises(ValueError, match="zero slice mass"):
             shrink_sequence(space, space.empty_event(), frozenset({0}), 1)
+
+
+def reference_split(space, event, hs):
+    """split rebuilt on the reference left fill; an obstruction comes back
+    as ("obstruction", fiber, location)."""
+    out = []
+    for i, (f, part, h) in enumerate(zip(space.fibers, event.slices, hs)):
+        m = f.measure
+        diffuse = diffuse_in(m, part.intervals)
+        total = diffuse + picked_weight(m, part.picks)
+        if h == 1:
+            out.append(part)
+        elif h == 0 or total == 0:
+            out.append(FiberSlice())
+        elif h * total > diffuse:
+            return ("obstruction", i, part.picks[0])
+        else:
+            out.append(FiberSlice(left_fill(m, part.intervals, h * total)))
+    return EventSet(tuple(out))
+
+
+def reference_witness(space, event):
+    """strict_split_witness rebuilt on the reference left fill."""
+    out, region = [], set()
+    for i, (f, part) in enumerate(zip(space.fibers, event.slices)):
+        m = f.measure
+        diffuse = diffuse_in(m, part.intervals)
+        if diffuse > 0:
+            target = min(diffuse, (diffuse + picked_weight(m, part.picks)) / 2)
+            out.append(FiberSlice(left_fill(m, part.intervals, target)))
+        elif len(part.picks) >= 2:
+            out.append(FiberSlice(picks=part.picks[:1]))
+        else:
+            out.append(FiberSlice())
+            continue
+        region.add(i)
+    return (EventSet(tuple(out)), frozenset(region)) if region else None
+
+
+def split_or_obstruction(space, event, hs):
+    try:
+        return split(space, event, hs)
+    except AtomObstruction as e:
+        return ("obstruction", e.fiber, e.location)
+
+
+class TestAgainstReferenceLeftFill:
+    """split, strict_split_witness and shrink_sequence give exactly the sets
+    of the reference left fill in tests/oracles.py, which walks the density
+    pieces directly instead of reading prefix masses and quantiles."""
+
+    @pytest.mark.parametrize("params", [FULL_ATOMLESS, FULL_MIXED], ids=["atomless", "mixed"])
+    def test_generated_multi_interval_events(self, params):
+        rng = rng_for(5, "unit-reference-fill")
+        for _ in range(60):
+            space = generate_space(rng, params)
+            c = generate_positive_event(rng, space).union(generate_event(rng, space))
+            hs = generate_coefficients(rng, space)
+            assert split_or_obstruction(space, c, hs) == reference_split(space, c, hs)
+            assert strict_split_witness(space, c) == reference_witness(space, c)
+            diffuse_c = EventSet(tuple(FiberSlice(s.intervals) for s in c.slices))
+            fibers = frozenset(
+                i for i, v in enumerate(space.cond_expectation(diffuse_c)) if v > 0
+            )
+            halves = tuple(F(1, 2) if i in fibers else F(1) for i in range(space.n_fibers))
+            expected = [diffuse_c]
+            for _ in range(3):
+                expected.append(reference_split(space, expected[-1], halves))
+            assert shrink_sequence(space, diffuse_c, fibers, 3) == expected
+
+    @pytest.mark.parametrize(
+        "measure,intervals,h,expected",
+        [
+            # the cut lands exactly on a breakpoint
+            (
+                FiberMeasure(breakpoints=(0, F(1, 2), 1), densities=(F(3, 2), F(1, 2))),
+                ((0, 1),),
+                F(3, 4),
+                ((0, F(1, 2)),),
+            ),
+            # ... of a later interval
+            (
+                FiberMeasure(breakpoints=(0, F(1, 2), 1), densities=(F(3, 2), F(1, 2))),
+                ((0, F(1, 8)), (F(1, 4), 1)),
+                F(9, 13),  # diffuse 13/16 in all, 9/16 up to 1/2
+                ((0, F(1, 8)), (F(1, 4), F(1, 2))),
+            ),
+            # the cut is an interval's right end
+            (LEBESGUE, ((0, F(1, 4)), (F(1, 2), F(3, 4))), F(1, 2), ((0, F(1, 4)),)),
+            # a zero-density stretch just before the cut
+            (
+                FiberMeasure(breakpoints=(0, F(1, 4), F(3, 4), 1), densities=(2, 0, 2)),
+                ((0, 1),),
+                F(3, 4),
+                ((0, F(7, 8)),),
+            ),
+            # target reached where the stretch begins: the cut stays left of it
+            (
+                FiberMeasure(breakpoints=(0, F(1, 4), F(3, 4), 1), densities=(2, 0, 2)),
+                ((0, 1),),
+                F(1, 2),
+                ((0, F(1, 4)),),
+            ),
+        ],
+    )
+    def test_hand_cut_points(self, measure, intervals, h, expected):
+        space = single(measure)
+        c = EventSet((FiberSlice(intervals),))
+        assert split(space, c, (h,)).slices[0].intervals == expected
+        assert left_fill(measure, c.slices[0].intervals, h * diffuse_in(measure, intervals)) == expected
+
+    def test_whole_diffuse_mass_as_target(self):
+        # diffuse 1/4 on [0, 1/2) (flat from 1/4), plus a picked atom of 1/2:
+        # both the split at 1/3 and the witness need all the diffuse mass,
+        # and the fill stops where that mass is reached, at 1/4
+        m = FiberMeasure(
+            atoms=((F(7, 8), F(1, 2)),), breakpoints=(0, F(1, 4), F(3, 4), 1), densities=(1, 0, 1)
+        )
+        space = single(m)
+        c = EventSet((FiberSlice(((0, F(1, 2)),), (F(7, 8),)),))
+        assert split(space, c, (F(1, 3),)).slices[0] == FiberSlice(((0, F(1, 4)),))
+        witness, region = strict_split_witness(space, c)
+        assert witness.slices[0] == FiberSlice(((0, F(1, 4)),))
+        assert region == frozenset({0})
+        assert reference_split(space, c, (F(1, 3),)) == split(space, c, (F(1, 3),))
+        assert reference_witness(space, c) == (witness, region)
+
+    def test_obstruction_names_the_same_fiber_and_atom(self):
+        atomic = FiberMeasure(atoms=((F(1, 4), F(1, 4)), (F(3, 4), F(1, 4))), densities=(F(1, 2),))
+        space = FiberedSpace((Fiber(F(1, 2), LEBESGUE), Fiber(F(1, 2), atomic)))
+        c = space.whole_event()
+        with pytest.raises(AtomObstruction) as exc:
+            split(space, c, (F(1, 2), F(3, 4)))
+        assert (exc.value.fiber, exc.value.location) == (1, F(1, 4))
+        assert str(exc.value) == "fiber 1: point mass at 1/4 blocks an exact split"
+        assert reference_split(space, c, (F(1, 2), F(3, 4))) == ("obstruction", 1, F(1, 4))
 
 
 densities_strategy = st.lists(
