@@ -126,10 +126,6 @@ class CellPartition:
                     raise InvariantError("block ids must appear in first-seen order from 0")
                 seen.append(b)
 
-    @property
-    def n_blocks(self) -> int:
-        return max(self.blocks) + 1 if self.blocks else 0
-
     def members(self, block: int) -> tuple[int, ...]:
         return tuple(i for i, b in enumerate(self.blocks) if b == block)
 

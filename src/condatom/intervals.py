@@ -8,6 +8,7 @@ endpoint sweep, so every result is again canonical and exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -43,30 +44,32 @@ def sweep(a: IntervalList, b: IntervalList, keep) -> IntervalList:
 
     A single endpoint walk: each endpoint toggles membership in its own
     list, and the segment up to the next endpoint is kept or dropped.
+    Endpoints are ordered by integer keys over their common denominator,
+    and the output holds the original endpoint objects.
     """
+    den = lcm(*(x.denominator for ivs in (a, b) for iv in ivs for x in iv))
     events = []
-    for lo, hi in a:
-        events.append((lo, 0, 1))
-        events.append((hi, 0, -1))
-    for lo, hi in b:
-        events.append((lo, 1, 1))
-        events.append((hi, 1, -1))
+    for which, intervals in enumerate((a, b)):
+        for lo, hi in intervals:
+            events.append((lo.numerator * (den // lo.denominator), which, 1, lo))
+            events.append((hi.numerator * (den // hi.denominator), which, -1, hi))
     events.sort()
     kept: list[tuple[Fraction, Fraction]] = []
     in_a = in_b = 0
-    prev = None
-    for x, which, delta in events:
-        if prev is not None and x != prev and keep(in_a, in_b):
+    prev = prev_key = end_key = None
+    for key, which, delta, x in events:
+        if prev_key is not None and key != prev_key and keep(in_a, in_b):
             # output arrives sorted and disjoint; merge touching segments
-            if kept and kept[-1][1] == prev:
+            if end_key == prev_key:
                 kept[-1] = (kept[-1][0], x)
             else:
                 kept.append((prev, x))
+            end_key = key
         if which:
             in_b += delta
         else:
             in_a += delta
-        prev = x
+        prev, prev_key = x, key
     return tuple(kept)
 
 

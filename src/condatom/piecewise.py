@@ -1,14 +1,17 @@
-"""Piecewise-linear functions on [0, 1] with exact rational nodes."""
+"""Piecewise-linear functions on [0, 1] with exact rational nodes.
+
+Evaluation and leftmost preimages both read the function's integer node
+table (space.NodeTable), built once per function.
+"""
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .intervals import ONE, ZERO
-from .space import InvariantError, as_fraction, quantile_walk
+from .space import InvariantError, NodeTable, as_fraction
 
 
 @dataclass(frozen=True)
@@ -52,16 +55,15 @@ class PiecewiseLinear:
     def nondecreasing(self) -> bool:
         return all(a <= b for a, b in zip(self.ys, self.ys[1:]))
 
+    @cached_property
+    def table(self) -> NodeTable:
+        return NodeTable(self.xs, self.ys)
+
     def at(self, x) -> Fraction:
         x = as_fraction(x)
-        if not 0 <= x <= 1:
+        if not 0 <= x.numerator <= x.denominator:
             raise ValueError(f"argument {x} outside [0,1]")
-        if x == self.xs[-1]:
-            return self.ys[-1]
-        i = bisect_right(self.xs, x)
-        x0, x1 = self.xs[i - 1], self.xs[i]
-        y0, y1 = self.ys[i - 1], self.ys[i]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        return self.table.forward(x)
 
     def definite_integral(self, lo=ZERO, hi=ONE) -> Fraction:
         """Exact integral over [lo, hi] via trapezoids on refined nodes."""
@@ -79,11 +81,11 @@ class PiecewiseLinear:
         """The map y -> self(inner(y)); inner must be nondecreasing.
 
         New nodes are inner's nodes plus the leftmost preimages under
-        inner of self's nodes in its range, read off the quantile walk,
+        inner of self's nodes in its range, read off inner's node table,
         so the result is exactly linear between consecutive nodes.
         """
         if not inner.nondecreasing:
             raise ValueError("inner map must be nondecreasing")
         levels = [t for t in self.xs if inner.ys[0] < t <= inner.ys[-1]]
-        xs = tuple(sorted(set(inner.xs).union(quantile_walk(inner.xs, inner.ys, levels))))
+        xs = tuple(sorted(set(inner.xs).union(map(inner.table.inverse, levels))))
         return PiecewiseLinear(xs, tuple(self.at(inner.at(x)) for x in xs))

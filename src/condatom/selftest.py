@@ -298,7 +298,8 @@ def _halving_family(space, depth: int) -> DyadicFamily:
     """The dyadic family by the paper's constructive proof, on an atomless
     space: grow it level by level, halving each gap between consecutive
     sets exactly with split and inserting the union of the lower set with
-    the half. Independent of the quantile walk in build_dyadic_family."""
+    the half. It never reads a level's quantile directly, as
+    build_dyadic_family does."""
     halves = tuple(HALF for _ in range(space.n_fibers))
     sets = {ZERO: space.empty_event(), ONE: space.whole_event()}
     for level in range(depth):
@@ -314,7 +315,7 @@ def _halving_family(space, depth: int) -> DyadicFamily:
 def construction_agreement(seed, instances: int = 20, depth: int = 10) -> CriterionResult:
     """Two independent constructions agree at every dyadic level: the
     repeated-halving family (_halving_family, built with split) and the
-    quantile walk (set_at_level) have equal per-fiber masses and a
+    direct quantile prefixes (set_at_level) have equal per-fiber masses and a
     symmetric difference of mass 0."""
     rng = rng_for(seed, "construction-agreement")
     bad = 0

@@ -5,7 +5,9 @@ fiber index plays the role of the coarse algebra, and each fiber carries
 its own probability measure on [0, 1] made of point masses plus a
 piecewise-constant density. Events are per-fiber interval lists together
 with explicit atom picks. All masses are Fractions and every operation
-is exact; nothing in this package rounds.
+is exact; nothing in this package rounds. Prefix masses and quantiles
+are read off each fiber's NodeTable, its cumulative diffuse mass held
+as ints over a common denominator.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .intervals import (
     ONE,
@@ -40,41 +43,70 @@ class MismatchError(ValueError):
 
 def as_fraction(value) -> Fraction:
     """Coerce to Fraction, refusing floats so exactness cannot leak away."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise InvariantError(f"floating point value {value!r} is not exact")
     return Fraction(value)
 
 
-def quantile_walk(xs, ys, levels) -> tuple[Fraction, ...]:
-    """For each t of the nondecreasing levels, each in (ys[0], ys[-1]],
-    the leftmost x at which the nondecreasing piecewise-linear graph
-    through the nodes (xs, ys) reaches t.
+class NodeTable:
+    """Integer image of the piecewise-linear graph through the nodes
+    (xs, ys), xs strictly increasing: every x as an int over lx, the lcm
+    of the x denominators, and every y as an int over ly.
 
-    One merge walk of the levels against the node values, so a call
-    costs O(levels + nodes). The piece holding x is the first whose
-    right-end value reaches t; its left-end value is below t, so it
-    rises and x solves the linear equation there, never landing inside
-    a flat stretch. Each rising piece's inverse slope is computed once.
-    The walk starts at the first level's piece, found by bisection, so a
-    single level costs O(log nodes).
+    forward and inverse bisect those ints instead of comparing Fractions.
+    Both are exact: for x = p/q, x >= xs[j] holds exactly when
+    p*lx // q >= X[j], and for t = p/q, t <= ys[k] exactly when
+    ceil(p*ly / q) <= Y[k]. Each answer is one Fraction built from ints,
+    or the node value itself when the argument hits a node.
     """
-    out = []
-    prev = ys[0]
-    j = bisect_left(ys, levels[0]) - 1 if levels else 0
-    run = None
-    for t in levels:
-        if not ys[0] < t <= ys[-1] or t < prev:
-            raise InvariantError(
-                f"quantile levels must be nondecreasing in ({ys[0]}, {ys[-1]}], got {t}"
-            )
-        prev = t
-        while ys[j + 1] < t:
-            j += 1
-            run = None
-        if run is None:
-            run = (xs[j + 1] - xs[j]) / (ys[j + 1] - ys[j])
-        out.append(xs[j] + (t - ys[j]) * run)
-    return tuple(out)
+
+    __slots__ = ("xs", "ys", "lx", "ly", "X", "Y")
+
+    def __init__(self, xs, ys):
+        self.xs, self.ys = xs, ys
+        self.lx = lcm(*(x.denominator for x in xs))
+        self.ly = lcm(*(y.denominator for y in ys))
+        self.X = [x.numerator * (self.lx // x.denominator) for x in xs]
+        self.Y = [y.numerator * (self.ly // y.denominator) for y in ys]
+
+    def forward(self, x) -> Fraction:
+        """The graph's value at x; x outside [xs[0], xs[-1]] clamps to the
+        end values."""
+        p, q = x.numerator, x.denominator
+        X = self.X
+        j = bisect_right(X, p * self.lx // q) - 1
+        if j < 0:
+            return self.ys[0]
+        if j == len(X) - 1:
+            return self.ys[-1]
+        r = p * self.lx - X[j] * q  # (x - xs[j]) * lx * q
+        dy = self.Y[j + 1] - self.Y[j]
+        if not r or not dy:
+            return self.ys[j]
+        dx = X[j + 1] - X[j]
+        return Fraction(self.Y[j] * q * dx + dy * r, self.ly * q * dx)
+
+    def inverse(self, t) -> Fraction:
+        """The leftmost x at which the graph, whose ys must be
+        nondecreasing, reaches t. The piece holding it is the first whose
+        right-end value reaches t; its left-end value is below t, so it
+        rises and x never lands inside a flat stretch. t at or below
+        ys[0] gives xs[0], and t above ys[-1] clamps to xs[-1]."""
+        p, q = t.numerator, t.denominator
+        Y = self.Y
+        k = bisect_left(Y, -(-p * self.ly // q))
+        if k == 0:
+            return self.xs[0]
+        if k == len(Y):
+            return self.xs[-1]
+        r = p * self.ly - Y[k - 1] * q  # (t - ys[k-1]) * ly * q
+        dy = Y[k] - Y[k - 1]
+        if r == dy * q:
+            return self.xs[k]
+        dx = self.X[k] - self.X[k - 1]
+        return Fraction(self.X[k - 1] * q * dy + dx * r, self.lx * q * dy)
 
 
 @dataclass(frozen=True)
@@ -148,26 +180,36 @@ class FiberMeasure:
         for j, d in enumerate(self.densities):
             yield self.breakpoints[j], self.breakpoints[j + 1], d
 
+    @cached_property
+    def table(self) -> NodeTable:
+        """The cumulative diffuse mass as an integer node table."""
+        return NodeTable(self.breakpoints, self.diffuse_cumulative)
+
     def prefix_diffuse(self, x) -> Fraction:
         """Diffuse mass of [0, x)."""
-        if x <= 0:
-            return ZERO
-        if x >= 1:
-            return self.diffuse_total
-        j = bisect_right(self.breakpoints, x) - 1
-        d = self.densities[j]
-        base = self.diffuse_cumulative[j]
-        return base + d * (x - self.breakpoints[j]) if d else base
+        return self.table.forward(as_fraction(x))
 
     def quantiles(self, levels) -> tuple[Fraction, ...]:
         """For each t of the nondecreasing levels, each in (0, diffuse_total],
         the leftmost y with diffuse mass of [0, y) exactly t."""
-        return quantile_walk(self.breakpoints, self.diffuse_cumulative, levels)
+        ys = self.diffuse_cumulative
+        inverse = self.table.inverse
+        out = []
+        prev = ys[0]
+        for t in map(as_fraction, levels):
+            if not ys[0] < t <= ys[-1] or t < prev:
+                raise InvariantError(
+                    f"quantile levels must be nondecreasing in ({ys[0]}, {ys[-1]}], got {t}"
+                )
+            prev = t
+            out.append(inverse(t))
+        return tuple(out)
 
     def diffuse_mass(self, intervals: IntervalList) -> Fraction:
+        at = self.table.forward
         total = ZERO
         for lo, hi in intervals:
-            total += self.prefix_diffuse(hi) - self.prefix_diffuse(lo)
+            total += at(as_fraction(hi)) - at(as_fraction(lo))
         return total
 
     def pick_mass(self, picks) -> Fraction:

@@ -3,9 +3,10 @@
 The workhorse is split(): given an event C and per-fiber coefficients h
 in [0, 1], it returns B inside C whose per-fiber mass is exactly h times
 that of C. The construction is a deterministic left fill read off the
-fiber's cumulative table: one prefix pass gives each of C's intervals
-its diffuse mass, and the first interval to reach the target is cut at
-the fiber's inverse CDF (space.quantile_walk) of the mass still missing.
+fiber's cumulative node table (FiberMeasure.table): one prefix pass
+gives each of C's intervals its diffuse mass, and the first interval to
+reach the target is cut at the table's inverse, the fiber's inverse CDF,
+of the mass still missing.
 Point masses can never be cut, so a strict interior target is reachable
 only through diffuse mass; when picked atoms make it unreachable the
 split raises AtomObstruction instead of approximating.
@@ -73,10 +74,11 @@ def is_conditionally_atomless(space: FiberedSpace) -> bool:
 def _read(measure: FiberMeasure, intervals) -> tuple[list, Fraction]:
     """One prefix pass over a slice's intervals: for each [lo, hi) the
     diffuse mass of [0, lo) and of [lo, hi), and the slice's total."""
+    at = measure.table.forward
     reading = []
     for lo, hi in intervals:
-        base = measure.prefix_diffuse(lo)
-        reading.append((base, measure.prefix_diffuse(hi) - base))
+        base = at(lo)
+        reading.append((base, at(hi) - base))
     return reading, sum((gain for _, gain in reading), ZERO)
 
 
@@ -86,7 +88,7 @@ def _left_fill(measure: FiberMeasure, intervals, reading, target: Fraction):
     inverse CDF of the mass still missing, the leftmost such point."""
     for k, (base, gain) in enumerate(reading):
         if gain >= target:
-            cut = measure.quantiles((base + target,))[0]
+            cut = measure.table.inverse(base + target)
             return intervals[:k] + ((intervals[k][0], cut),)
         target -= gain
     raise AssertionError("left fill target exceeds available diffuse mass")

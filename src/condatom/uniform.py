@@ -3,7 +3,7 @@
 On an atomless space every level t of the increasing family (B_t) is, on
 every fiber, the prefix [0, q_t), where the quantile q_t is the leftmost
 y whose diffuse mass of [0, y) is t. build_dyadic_family reads all dyadic
-levels off one quantile walk per fiber, so every stored set has per-fiber
+levels off one quantiles call per fiber, so every stored set has per-fiber
 mass exactly t on every fiber at once; that constant conditional mass is
 what makes the family independent of the fiber index. The paper's
 constructive proof, repeated exact halving of the gaps between
@@ -12,9 +12,9 @@ as one side of the construction-agreement criterion and pinned set for
 set against this family by the unit tests. set_at_level produces any
 single level, and level_set the strict level sets of the per-fiber
 conditional CDFs that build_uniform packages; all three read their
-prefixes off the same walk (space.quantile_walk). level_scan finds a
-level whose intersection with a given event is conditionally strictly
-between empty and full.
+prefixes off the inverse of the fiber's integer node table
+(space.NodeTable). level_scan finds a level whose intersection with a
+given event is conditionally strictly between empty and full.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .space import (
     FiberSlice,
     InvariantError,
     as_fraction,
-    quantile_walk,
 )
 from .splitting import AtomObstruction, atom_witness
 
@@ -79,7 +78,7 @@ def _require_atomless(space: FiberedSpace):
 
 
 def build_dyadic_family(space: FiberedSpace, depth: int) -> DyadicFamily:
-    """All levels k / 2**depth at once: per fiber, one quantile walk over
+    """All levels k / 2**depth at once: per fiber, one quantiles call over
     the sorted levels gives the prefix [0, q_t) of every level t strictly
     between 0 and 1; level 0 is empty and level 1 the whole space."""
     _require_atomless(space)
@@ -95,7 +94,7 @@ def build_dyadic_family(space: FiberedSpace, depth: int) -> DyadicFamily:
 
 def set_at_level(space: FiberedSpace, t) -> EventSet:
     """The event of per-fiber mass exactly t: on every fiber the prefix
-    [0, q_t) read off the quantile walk. A fiber whose diffuse mass is
+    [0, q_t) read off the fiber's node table. A fiber whose diffuse mass is
     below t cannot reach it, since point masses cannot be cut; its first
     atom is named in the AtomObstruction."""
     t = as_fraction(t)
@@ -127,7 +126,7 @@ def build_uniform(space: FiberedSpace) -> UniformRV:
 
 def level_set(rv: UniformRV, t) -> EventSet:
     """The event {u < t}, per fiber a prefix [0, y) of the line, with y
-    read off the quantile walk of the fiber's CDF."""
+    the leftmost preimage of t in the node table of the fiber's CDF."""
     t = as_fraction(t)
     out = []
     for u in rv.cdfs:
@@ -136,7 +135,7 @@ def level_set(rv: UniformRV, t) -> EventSet:
         elif t > u.ys[-1]:
             out.append(FiberSlice.trusted(((ZERO, ONE),)))
         else:
-            out.append(FiberSlice.trusted(((ZERO, quantile_walk(u.xs, u.ys, (t,))[0]),)))
+            out.append(FiberSlice.trusted(((ZERO, u.table.inverse(t)),)))
     return EventSet(tuple(out))
 
 

@@ -89,3 +89,26 @@ def left_fill(measure, intervals, target):
             acc += d * (q - p)
         out.append((lo, hi))
     raise ValueError("left fill target exceeds the available diffuse mass")
+
+
+def interpolate(xs, ys, x) -> Fraction:
+    """Value at x of the graph through the nodes (xs, ys), xs increasing,
+    held constant beyond the end nodes: a linear scan of the pieces."""
+    if x <= xs[0]:
+        return ys[0]
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+        if x <= x1:
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    return ys[-1]
+
+
+def leftmost_preimage(xs, ys, t) -> Fraction:
+    """For nondecreasing ys, the leftmost x at which the graph through the
+    nodes reaches t: xs[0] for t at or below ys[0], xs[-1] for t above
+    ys[-1], else a solve inside the first piece rising past t."""
+    if t <= ys[0]:
+        return xs[0]
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+        if y0 < t <= y1:
+            return x0 + (t - y0) * (x1 - x0) / (y1 - y0)
+    return xs[-1]

@@ -111,6 +111,27 @@ class TestMeasure:
             LEBESGUE.quantiles(levels)
 
 
+class TestExactInputs:
+    """The public measure methods coerce their inputs like the
+    constructors do: a float is refused, never evaluated."""
+
+    def test_prefix_diffuse_refuses_a_float(self):
+        with pytest.raises(InvariantError, match="0.3 is not exact"):
+            DOUBLED.prefix_diffuse(0.3)
+        assert DOUBLED.prefix_diffuse(F(1, 4)) == F(1, 2)
+        assert DOUBLED.prefix_diffuse("3/4") == 1
+
+    def test_diffuse_mass_refuses_a_float(self):
+        with pytest.raises(InvariantError, match="not exact"):
+            DOUBLED.diffuse_mass(((0.1, 0.3),))
+        assert DOUBLED.diffuse_mass(((0, F(1, 4)), (F(3, 8), 1))) == F(3, 4)
+
+    def test_quantiles_refuses_a_float(self):
+        with pytest.raises(InvariantError, match="0.5 is not exact"):
+            DOUBLED.quantiles((0.5,))
+        assert DOUBLED.quantiles(("1/2", 1)) == (F(1, 4), F(1, 2))
+
+
 class TestCondExpectation:
     def test_whole_and_empty(self, two_fiber_space):
         assert two_fiber_space.cond_expectation(two_fiber_space.whole_event()) == (1, 1)

@@ -70,7 +70,7 @@ class TestDyadicFamily:
 
 
 class TestQuantileWalkMatchesHalving:
-    """build_dyadic_family reads every level off one quantile walk per
+    """build_dyadic_family reads every level off one quantiles call per
     fiber; the paper's repeated halving must give the very same sets."""
 
     @staticmethod
