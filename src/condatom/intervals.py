@@ -86,13 +86,24 @@ def difference(a: IntervalList, b: IntervalList) -> IntervalList:
 
 
 def is_subset(a: IntervalList, b: IntervalList) -> bool:
-    """Each interval of a must sit inside a single interval of b."""
+    """Each interval of a must sit inside a single interval of b.
+
+    Endpoints are compared by cross-multiplying their int numerators and
+    denominators. The walk reads only the endpoints it reaches, so unlike
+    sweep it builds no keys over a common denominator."""
     i = 0
     n = len(b)
     for lo, hi in a:
-        while i < n and b[i][1] <= lo:
+        p, q = lo.numerator, lo.denominator
+        # skip b's intervals that end at or before lo
+        while i < n and b[i][1].numerator * q <= p * b[i][1].denominator:
             i += 1
-        if i == n or b[i][0] > lo or b[i][1] < hi:
+        if i == n:
+            return False
+        start, end = b[i]
+        if start.numerator * q > p * start.denominator:
+            return False
+        if end.numerator * hi.denominator < hi.numerator * end.denominator:
             return False
     return True
 

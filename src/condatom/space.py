@@ -5,9 +5,11 @@ fiber index plays the role of the coarse algebra, and each fiber carries
 its own probability measure on [0, 1] made of point masses plus a
 piecewise-constant density. Events are per-fiber interval lists together
 with explicit atom picks. All masses are Fractions and every operation
-is exact; nothing in this package rounds. Prefix masses and quantiles
-are read off each fiber's NodeTable, its cumulative diffuse mass held
-as ints over a common denominator.
+is exact; nothing in this package rounds. Prefix masses, interval
+masses and quantiles are read off each fiber's NodeTable, its cumulative
+diffuse mass held as ints over a common denominator; a slice's masses
+are summed as ints over one denominator, and each public result is one
+Fraction.
 """
 
 from __future__ import annotations
@@ -53,48 +55,67 @@ def as_fraction(value) -> Fraction:
 class NodeTable:
     """Integer image of the piecewise-linear graph through the nodes
     (xs, ys), xs strictly increasing: every x as an int over lx, the lcm
-    of the x denominators, and every y as an int over ly.
+    of the x denominators, every y as an int over ly, and the slope of
+    every piece as an int S[j] over ly*W, where W is the lcm of the piece
+    widths X[j+1] - X[j].
 
-    forward and inverse bisect those ints instead of comparing Fractions.
-    Both are exact: for x = p/q, x >= xs[j] holds exactly when
-    p*lx // q >= X[j], and for t = p/q, t <= ys[k] exactly when
-    ceil(p*ly / q) <= Y[k]. Each answer is one Fraction built from ints,
-    or the node value itself when the argument hits a node.
+    reading and preimage bisect those ints instead of comparing
+    Fractions, and take and give ints; forward and inverse wrap them for
+    Fraction arguments and results. Both are exact: for x = p/q,
+    x >= xs[j] holds exactly when p*lx // q >= X[j], and for t = p/q,
+    t <= ys[k] exactly when ceil(p*ly / q) <= Y[k].
     """
 
-    __slots__ = ("xs", "ys", "lx", "ly", "X", "Y")
+    __slots__ = ("xs", "ys", "lx", "ly", "X", "Y", "W", "S", "unit")
 
     def __init__(self, xs, ys):
         self.xs, self.ys = xs, ys
         self.lx = lcm(*(x.denominator for x in xs))
         self.ly = lcm(*(y.denominator for y in ys))
-        self.X = [x.numerator * (self.lx // x.denominator) for x in xs]
-        self.Y = [y.numerator * (self.ly // y.denominator) for y in ys]
+        X = self.X = [x.numerator * (self.lx // x.denominator) for x in xs]
+        Y = self.Y = [y.numerator * (self.ly // y.denominator) for y in ys]
+        widths = [b - a for a, b in zip(X, X[1:])]
+        W = self.W = lcm(*widths)
+        self.S = [(b - a) * (W // w) for a, b, w in zip(Y, Y[1:], widths)]
+        self.unit = self.ly * W
 
-    def forward(self, x) -> Fraction:
-        """The graph's value at x; x outside [xs[0], xs[-1]] clamps to the
-        end values."""
-        p, q = x.numerator, x.denominator
+    def reading(self, p: int, q: int) -> int:
+        """The graph's value at p/q, q > 0, as an int over unit*q (unit =
+        ly*W); p/q outside [xs[0], xs[-1]] clamps to the end values."""
         X = self.X
         j = bisect_right(X, p * self.lx // q) - 1
         if j < 0:
-            return self.ys[0]
+            return self.Y[0] * self.W * q
         if j == len(X) - 1:
-            return self.ys[-1]
-        r = p * self.lx - X[j] * q  # (x - xs[j]) * lx * q
-        dy = self.Y[j + 1] - self.Y[j]
-        if not r or not dy:
-            return self.ys[j]
-        dx = X[j + 1] - X[j]
-        return Fraction(self.Y[j] * q * dx + dy * r, self.ly * q * dx)
+            return self.Y[-1] * self.W * q
+        return self.Y[j] * self.W * q + self.S[j] * (p * self.lx - X[j] * q)
 
-    def inverse(self, t) -> Fraction:
+    def forward(self, x) -> Fraction:
+        """The graph's value at x, clamped like reading."""
+        q = x.denominator
+        return Fraction(self.reading(x.numerator, q), self.unit * q)
+
+    def spans(self, intervals) -> tuple[list[tuple[int, int]], int]:
+        """The graph over each [lo, hi) of intervals, as ints over one
+        common denominator den: the value at lo and the rise from lo to
+        hi. den is unit times the lcm of the endpoint denominators, so
+        it grows with the endpoints' lcm, not their product. Returns
+        (pairs, den)."""
+        q = lcm(*(x.denominator for pair in intervals for x in pair))
+        at = self.reading
+        out = []
+        for lo, hi in intervals:
+            base = at(lo.numerator * (q // lo.denominator), q)
+            out.append((base, at(hi.numerator * (q // hi.denominator), q) - base))
+        return out, self.unit * q
+
+    def preimage(self, p: int, q: int) -> Fraction:
         """The leftmost x at which the graph, whose ys must be
-        nondecreasing, reaches t. The piece holding it is the first whose
-        right-end value reaches t; its left-end value is below t, so it
-        rises and x never lands inside a flat stretch. t at or below
-        ys[0] gives xs[0], and t above ys[-1] clamps to xs[-1]."""
-        p, q = t.numerator, t.denominator
+        nondecreasing, reaches t = p/q, q > 0. The piece holding it is
+        the first whose right-end value reaches t; its left-end value is
+        below t, so it rises and x never lands inside a flat stretch. t
+        at or below ys[0] gives xs[0], and t above ys[-1] clamps to
+        xs[-1]."""
         Y = self.Y
         k = bisect_left(Y, -(-p * self.ly // q))
         if k == 0:
@@ -107,6 +128,10 @@ class NodeTable:
             return self.xs[k]
         dx = self.X[k] - self.X[k - 1]
         return Fraction(self.X[k - 1] * q * dy + dx * r, self.lx * q * dy)
+
+    def inverse(self, t) -> Fraction:
+        """preimage at the Fraction t."""
+        return self.preimage(t.numerator, t.denominator)
 
 
 @dataclass(frozen=True)
@@ -191,26 +216,30 @@ class FiberMeasure:
 
     def quantiles(self, levels) -> tuple[Fraction, ...]:
         """For each t of the nondecreasing levels, each in (0, diffuse_total],
-        the leftmost y with diffuse mass of [0, y) exactly t."""
-        ys = self.diffuse_cumulative
-        inverse = self.table.inverse
+        the leftmost y with diffuse mass of [0, y) exactly t. Range and
+        order are checked on the table's ints by cross-multiplication."""
+        table = self.table
+        Y, ly = table.Y, table.ly
         out = []
-        prev = ys[0]
+        prev_p, prev_q = Y[0], ly
         for t in map(as_fraction, levels):
-            if not ys[0] < t <= ys[-1] or t < prev:
+            p, q = t.numerator, t.denominator
+            if not Y[0] * q < p * ly <= Y[-1] * q or p * prev_q < prev_p * q:
+                ys = self.diffuse_cumulative
                 raise InvariantError(
                     f"quantile levels must be nondecreasing in ({ys[0]}, {ys[-1]}], got {t}"
                 )
-            prev = t
-            out.append(inverse(t))
+            prev_p, prev_q = p, q
+            out.append(table.preimage(p, q))
         return tuple(out)
 
     def diffuse_mass(self, intervals: IntervalList) -> Fraction:
-        at = self.table.forward
-        total = ZERO
-        for lo, hi in intervals:
-            total += at(as_fraction(hi)) - at(as_fraction(lo))
-        return total
+        """Diffuse mass of the intervals: their rises on the node table,
+        summed as ints over one denominator."""
+        spans, den = self.table.spans(
+            [(as_fraction(lo), as_fraction(hi)) for lo, hi in intervals]
+        )
+        return Fraction(sum(rise for _, rise in spans), den)
 
     def pick_mass(self, picks) -> Fraction:
         total = ZERO
@@ -222,7 +251,8 @@ class FiberMeasure:
         return total
 
     def mass(self, part: FiberSlice) -> Fraction:
-        return self.diffuse_mass(part.intervals) + self.pick_mass(part.picks)
+        diffuse = self.diffuse_mass(part.intervals)
+        return diffuse + self.pick_mass(part.picks) if part.picks else diffuse
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ in [0, 1], it returns B inside C whose per-fiber mass is exactly h times
 that of C. The construction is a deterministic left fill read off the
 fiber's cumulative node table (FiberMeasure.table): one prefix pass
 gives each of C's intervals its diffuse mass, and the first interval to
-reach the target is cut at the table's inverse, the fiber's inverse CDF,
-of the mass still missing.
+reach the target is cut at the table's preimage, the fiber's inverse
+CDF, of the mass still missing. The pass reads every mass as an int over
+one denominator per slice, the target and its comparisons are made by
+cross-multiplying ints, and the only Fraction built is the cut.
 Point masses can never be cut, so a strict interior target is reachable
 only through diffuse mass; when picked atoms make it unreachable the
 split raises AtomObstruction instead of approximating.
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intervals import ZERO
 from .space import (
     EventSet,
     FiberedSpace,
@@ -71,43 +72,54 @@ def is_conditionally_atomless(space: FiberedSpace) -> bool:
     return atom_witness(space) is None
 
 
-def _read(measure: FiberMeasure, intervals) -> tuple[list, Fraction]:
-    """One prefix pass over a slice's intervals: for each [lo, hi) the
-    diffuse mass of [0, lo) and of [lo, hi), and the slice's total."""
-    at = measure.table.forward
-    reading = []
-    for lo, hi in intervals:
-        base = at(lo)
-        reading.append((base, at(hi) - base))
-    return reading, sum((gain for _, gain in reading), ZERO)
+def _read(measure: FiberMeasure, intervals) -> tuple[list, int, int]:
+    """One prefix pass over a slice's intervals, read off the fiber's node
+    table as ints over one common denominator den: for each [lo, hi) the
+    diffuse mass of [0, lo) and of [lo, hi), then the slice's diffuse
+    mass, then den."""
+    spans, den = measure.table.spans(intervals)
+    return spans, sum(gain for _, gain in spans), den
 
 
-def _left_fill(measure: FiberMeasure, intervals, reading, target: Fraction):
+def _left_fill(measure: FiberMeasure, intervals, reading, target: int, scale: int):
     """Leftmost sub-intervals of the canonical intervals with diffuse mass
-    exactly target, 0 < target <= their diffuse mass. The cut is the
+    exactly target / (den * scale), 0 < target <= their diffuse mass,
+    where reading = _read(measure, intervals) is over den. The cut is the
     inverse CDF of the mass still missing, the leftmost such point."""
-    for k, (base, gain) in enumerate(reading):
+    spans, _, den = reading
+    for k, (base, gain) in enumerate(spans):
+        gain *= scale
         if gain >= target:
-            cut = measure.table.inverse(base + target)
+            cut = measure.table.preimage(base * scale + target, den * scale)
             return intervals[:k] + ((intervals[k][0], cut),)
         target -= gain
     raise AssertionError("left fill target exceeds available diffuse mass")
 
 
+def _slice_mass(measure: FiberMeasure, part: FiberSlice, reading) -> tuple[int, int]:
+    """The slice's mass, diffuse plus picked, as an int over den * b, where
+    reading = _read(measure, part.intervals) is over den and b is the
+    picked mass's denominator. Returns the int and b."""
+    _, diffuse, den = reading
+    picked = measure.pick_mass(part.picks)
+    return diffuse * picked.denominator + picked.numerator * den, picked.denominator
+
+
 def _split_slice(measure: FiberMeasure, part: FiberSlice, h: Fraction, fiber: int) -> FiberSlice:
-    if h == 1:
+    if h.numerator == h.denominator:
         return part
-    if h == 0:
+    if not h.numerator:
         return FiberSlice()
-    reading, diffuse = _read(measure, part.intervals)
-    total = diffuse + measure.pick_mass(part.picks)
+    reading = _read(measure, part.intervals)
+    total, b = _slice_mass(measure, part, reading)
     if total == 0:
         return FiberSlice()
-    target = h * total
-    if target > diffuse:
+    # h times the slice mass, over den * b * h.denominator
+    target, scale = h.numerator * total, b * h.denominator
+    if target > reading[1] * scale:
         # total > diffuse, so the slice holds at least one picked atom
         raise AtomObstruction(fiber, part.picks[0])
-    return FiberSlice.trusted(_left_fill(measure, part.intervals, reading, target))
+    return FiberSlice.trusted(_left_fill(measure, part.intervals, reading, target, scale))
 
 
 def split(space: FiberedSpace, event: EventSet, coefficients: FiberFunction) -> EventSet:
@@ -124,7 +136,7 @@ def split(space: FiberedSpace, event: EventSet, coefficients: FiberFunction) -> 
     if len(hs) != space.n_fibers:
         raise InvariantError(f"expected {space.n_fibers} coefficients, got {len(hs)}")
     for h in hs:
-        if not 0 <= h <= 1:
+        if not 0 <= h.numerator <= h.denominator:
             raise InvariantError(f"split coefficient {h} outside [0,1]")
     return EventSet(
         tuple(
@@ -135,14 +147,14 @@ def split(space: FiberedSpace, event: EventSet, coefficients: FiberFunction) -> 
 
 
 def _strict_readings(space: FiberedSpace, event: EventSet):
-    """Per fiber, the slice's prefix reading and diffuse mass when the
-    slice splits strictly, else None. A slice splits strictly unless its
-    mass is zero or sits on one atom: it needs diffuse mass or two picks."""
+    """Per fiber, the slice's _read when the slice splits strictly, else
+    None. A slice splits strictly unless its mass is zero or sits on one
+    atom: it needs diffuse mass or two picks."""
     space.validate_event(event)
     out = []
     for f, part in zip(space.fibers, event.slices):
-        reading, diffuse = _read(f.measure, part.intervals)
-        out.append((reading, diffuse) if diffuse > 0 or len(part.picks) >= 2 else None)
+        reading = _read(f.measure, part.intervals)
+        out.append(reading if reading[1] > 0 or len(part.picks) >= 2 else None)
     return out
 
 
@@ -175,9 +187,11 @@ def strict_split_witness(
         if r is None:
             out.append(FiberSlice())
         elif r[1] > 0:
-            m, (reading, diffuse) = fiber.measure, r
-            target = min(diffuse, (diffuse + m.pick_mass(part.picks)) / 2)
-            out.append(FiberSlice.trusted(_left_fill(m, part.intervals, reading, target)))
+            m = fiber.measure
+            total, b = _slice_mass(m, part, r)
+            # min(diffuse, total / 2) over den * 2b
+            target = min(2 * b * r[1], total)
+            out.append(FiberSlice.trusted(_left_fill(m, part.intervals, r, target, 2 * b)))
         else:
             out.append(FiberSlice.trusted((), part.picks[:1]))
     return EventSet(tuple(out)), region

@@ -1,11 +1,18 @@
+import contextlib
+import copy
+import io
 import json
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from condatom.cli import MAX_CHAIN, MAX_DEPTH, MAX_GRID, MAX_INSTANCES, main, run
-from condatom.scenario import parse_scenario
+from condatom.cli import COMMANDS, MAX_CHAIN, MAX_DEPTH, MAX_GRID, MAX_INSTANCES, main, run
+from condatom.generate import generate_scenario
+from condatom.scenario import parse_scenario, serialize_scenario
 
 LEBESGUE_SCENARIO = json.dumps(
     {
@@ -236,3 +243,61 @@ class TestInputErrors:
         assert json.loads(capsys.readouterr().out)["depth"] == 1
         assert self.main_on(tmp_path, body, ["uniform"]) == 0
         assert json.loads(capsys.readouterr().out)["grid"] == 2
+
+
+CAPS = {"depth": MAX_DEPTH, "count": MAX_GRID, "n": MAX_CHAIN}
+SWAPS = ("x", "1/2", 3, 1.5, None, True, [], {}, ["0", "1/2"], {"x": 1})
+
+
+def _slots(node, out):
+    """Every (container, key) position in a JSON tree, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            _slots(value, out)
+    return out
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A serialized generate_scenario scenario with one to three
+    mutations: a key or list item dropped, a value swapped for one of
+    another type, a negative int, or a params key one past its cap."""
+    body = json.loads(serialize_scenario(generate_scenario(random.Random(draw(st.integers(0, 999))))))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("drop", "swap", "negative", "cap")))
+        if kind == "cap":
+            key = draw(st.sampled_from(sorted(CAPS)))
+            if not isinstance(body.get("params"), dict):
+                body["params"] = {}
+            body["params"][key] = CAPS[key] + 1
+            continue
+        slots = _slots(body, [])
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        if kind == "drop":
+            del node[key]
+        elif kind == "swap":
+            node[key] = copy.deepcopy(draw(st.sampled_from(SWAPS)))
+        else:
+            node[key] = -draw(st.integers(1, 2**64))
+    return body
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_scenarios(), st.sampled_from(sorted(set(COMMANDS) - {"selftest"})))
+def test_mutated_scenarios_keep_the_exit_code_contract(tmp_path_factory, body, command):
+    """A mutated scenario either runs (0 or 1) or exits 2 with a message;
+    it never raises out of main."""
+    path = tmp_path_factory.mktemp("mutated") / "scenario.json"
+    path.write_text(json.dumps(body))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--scenario", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("condatom: ")
+    else:
+        assert json.loads(out.getvalue())["command"] == command

@@ -1,5 +1,5 @@
-"""The integer node table and the integer-keyed sweep against plain-Fraction
-references from tests/oracles.py."""
+"""The integer node table, the integer-keyed sweep and is_subset against
+plain-Fraction references from tests/oracles.py."""
 
 import random
 from fractions import Fraction
@@ -187,3 +187,37 @@ def test_sweep_orders_nearly_equal_wide_endpoints():
             assert iv.union(a, b) == ((F(0), F(1)),)
             assert iv.difference(b, a) == ((F(0), x1),)
             assert iv.difference(a, b) == ((x2, F(1)),)
+
+
+@given(touching_pair())
+def test_is_subset_agrees_with_pointwise_membership(lists):
+    a, b = lists
+    ends = sorted({e for pair in a + b for e in pair})
+    probes = ends + [(x + y) / 2 for x, y in zip(ends, ends[1:])]
+    for x, y in ((a, b), (b, a), (a, a), (iv.intersect(a, b), a), (a, iv.union(a, b)), (a, ()), ((), b)):
+        assert iv.is_subset(x, y) == all(point_in(y, p) for p in probes if point_in(x, p))
+
+
+def test_is_subset_tells_nearly_equal_wide_endpoints_apart():
+    """x1 < 7/10 < x2, apart by less than 1/d for every pair of WIDE
+    denominators."""
+    for d1 in WIDE:
+        for d2 in WIDE:
+            x1, x2 = F(d1 * 7 // 10, d1), F(-(-d2 * 7 // 10), d2)
+            gap = ((F(0), x1), (x2, F(1)))
+            cases = [
+                (((F(0), x1),), ((F(0), x2),), True),
+                (((F(0), x2),), ((F(0), x1),), False),
+                (((x2, F(1)),), ((x1, F(1)),), True),
+                (((x1, F(1)),), ((x2, F(1)),), False),
+                (((F(0), x1),), gap, True),
+                (gap, gap, True),
+                (((x1, x2),), gap, False),
+                (((F(1, 2), x2),), gap, False),
+                ((), gap, True),
+                (gap, (), False),
+            ]
+            for a, b, want in cases:
+                assert iv.is_subset(a, b) == want
+                probes = [e for pair in a + b for e in pair] + [F(7, 10)]
+                assert want == all(point_in(b, p) for p in probes if point_in(a, p))

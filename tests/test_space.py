@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
-from oracles import grid_mass, grid_space_measure
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import grid_mass, grid_space_measure, leftmost_preimage
 
 from condatom import (
     EventSet,
@@ -13,6 +16,8 @@ from condatom import (
     MismatchError,
     combine,
 )
+from condatom.generate import generate_space
+from condatom.selftest import FULL_MIXED
 
 F = Fraction
 
@@ -109,6 +114,74 @@ class TestMeasure:
     def test_quantile_levels_out_of_order_or_range_rejected(self, levels):
         with pytest.raises(InvariantError, match="quantile levels"):
             LEBESGUE.quantiles(levels)
+
+
+def fraction_level_check(measure, levels):
+    """The range and order check of quantiles done on Fractions: the
+    message of the InvariantError it raises, or None when it accepts."""
+    ys = measure.diffuse_cumulative
+    prev = ys[0]
+    for t in levels:
+        if not ys[0] < t <= ys[-1] or t < prev:
+            return f"quantile levels must be nondecreasing in ({ys[0]}, {ys[-1]}], got {t}"
+        prev = t
+    return None
+
+
+D64 = 2**64 - 59  # the largest prime below 2**64
+
+
+@st.composite
+def levels_near_the_edges(draw, total):
+    """Up to five levels: inside the range, at its ends, or one part in a
+    wide denominator off them, and repeats of or just below the last."""
+    d = draw(st.sampled_from((D64, 2**64, 3**40)))
+    levels = []
+    for _ in range(draw(st.integers(1, 5))):
+        prev = levels[-1] if levels else total / 2
+        levels.append(draw(st.sampled_from((
+            F(0), F(-1, d), F(1, d), total, total - F(1, d), total + F(1, d),
+            total * F(draw(st.integers(1, 64)), 64), prev, prev - F(1, d), prev + F(1, d),
+        ))))
+    return levels
+
+
+class TestQuantileLevelCheck:
+    """quantiles checks its levels on the table's ints; it must accept and
+    reject exactly what the check on Fractions did, with the same message."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(0, 2**32))
+    def test_int_check_matches_the_fraction_check(self, data, seed):
+        fiber = generate_space(random.Random(seed), FULL_MIXED).fibers[0]
+        m = fiber.measure
+        levels = data.draw(levels_near_the_edges(m.diffuse_total))
+        message = fraction_level_check(m, levels)
+        if message is None:
+            xs, ys = m.breakpoints, m.diffuse_cumulative
+            assert m.quantiles(levels) == tuple(leftmost_preimage(xs, ys, t) for t in levels)
+        else:
+            with pytest.raises(InvariantError) as exc:
+                m.quantiles(levels)
+            assert str(exc.value) == message
+
+    def test_edges_of_the_range(self):
+        m = FiberMeasure(atoms=((F(1, 3), F(1, 3)),), breakpoints=(0, F(1, 2), 1), densities=(1, F(1, 3)))
+        total = m.diffuse_total
+        assert total == F(2, 3)
+        assert m.quantiles((total,)) == (1,)
+        assert m.quantiles((F(1, 4), F(1, 4), total, total)) == (F(1, 4), F(1, 4), 1, 1)
+        bad = [
+            [F(0)],
+            [total + F(1, D64)],
+            [F(1, 3), F(1, 3) - F(1, D64)],
+        ]
+        for levels in bad:
+            with pytest.raises(InvariantError) as exc:
+                m.quantiles(levels)
+            assert str(exc.value) == fraction_level_check(m, levels)
+        with pytest.raises(InvariantError, match="floating point value 0.5 is not exact"):
+            m.quantiles((0.5,))
 
 
 class TestExactInputs:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from condatom import (
     split,
     strict_split_witness,
 )
+from condatom.cli import MAX_CHAIN
 from condatom.generate import (
     GeneratorParams,
     generate_coefficients,
@@ -455,3 +457,116 @@ def test_split_exactness_property(data, h):
     b = split(space, c, (h,))
     assert space.cond_expectation(b) == (h * space.cond_expectation(c)[0],)
     assert b.is_subset(c)
+
+
+# Pairwise coprime denominators of 55 to 64 bits: for each of the first
+# 128 primes, its largest power that fits in 64 bits.
+def _first_primes(n):
+    out, k = [], 2
+    while len(out) < n:
+        if all(k % p for p in out):
+            out.append(k)
+        k += 1
+    return out
+
+
+def _largest_power(p, bits=64):
+    out = p
+    while out * p <= 2**bits:
+        out *= p
+    return out
+
+
+COPRIME_WIDE = tuple(_largest_power(p) for p in _first_primes(128))
+WIDE_PARAMS = GeneratorParams(max_fibers=2, max_pieces=15, atom_probability=0.5)
+
+
+@st.composite
+def wide_slices(draw, space, fiber):
+    """Up to 64 intervals whose endpoints all have different denominators
+    from COPRIME_WIDE, so the slice's common denominator is their
+    product, plus any subset of the fiber's atoms as picks."""
+    n = draw(st.integers(0, 64))
+    dens = draw(st.permutations(COPRIME_WIDE))[: 2 * n]
+    points = sorted(F(draw(st.integers(1, d - 1)), d) for d in dens)
+    atoms = space.fibers[fiber].measure.atom_locations
+    picks = [loc for loc in atoms if draw(st.booleans())]
+    return FiberSlice(tuple(zip(points[0::2], points[1::2])), picks)
+
+
+@st.composite
+def wide_instances(draw):
+    """A generated space with up to two fibers, atoms on about half of
+    them, a wide slice on each fiber, and per-fiber coefficients that are
+    0, 1, 1/2 or have a wide denominator."""
+    space = generate_space(random.Random(draw(st.integers(0, 2**32))), WIDE_PARAMS)
+    event = EventSet(tuple(draw(wide_slices(space, i)) for i in range(space.n_fibers)))
+    wide_h = st.builds(lambda d, k: F(k % (d + 1), d), st.sampled_from(COPRIME_WIDE), st.integers(0, 2**64))
+    coefficient = st.one_of(st.sampled_from((F(0), F(1, 2), F(1))), wide_h)
+    hs = tuple(draw(coefficient) for _ in range(space.n_fibers))
+    return space, event, hs
+
+
+def obstruction_message(fiber, location):
+    return f"fiber {fiber}: point mass at {location} blocks an exact split"
+
+
+class TestWideSlicesAgainstOracles:
+    """The int readings of diffuse_mass, split and strict_split_witness
+    against the plain-Fraction references in tests/oracles.py, on slices
+    whose common denominator runs to thousands of bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(wide_instances())
+    def test_masses_splits_and_witnesses(self, instance):
+        space, event, hs = instance
+        for f, part in zip(space.fibers, event.slices):
+            m = f.measure
+            assert m.diffuse_mass(part.intervals) == diffuse_in(m, part.intervals)
+            assert m.mass(part) == diffuse_in(m, part.intervals) + picked_weight(m, part.picks)
+        expected = reference_split(space, event, hs)
+        try:
+            got = split(space, event, hs)
+        except AtomObstruction as e:
+            got = ("obstruction", e.fiber, e.location)
+            assert str(e) == obstruction_message(e.fiber, e.location)
+        assert got == expected
+        assert strict_split_witness(space, event) == reference_witness(space, event)
+
+    def test_target_exactly_at_the_diffuse_mass(self):
+        """With a picked atom, h = diffuse/total is the largest reachable
+        coefficient: it takes all the diffuse mass, and one part in a
+        wide denominator more is an obstruction."""
+        m = FiberMeasure(
+            atoms=((F(1, 2), F(1, 4)),), breakpoints=(0, F(1, 3), 1), densities=(F(3, 2), F(3, 8))
+        )
+        space = single(m)
+        dens = COPRIME_WIDE[:128]
+        points = sorted(F(d // 3 + k, d) for k, d in enumerate(dens))
+        part = FiberSlice(tuple(zip(points[0::2], points[1::2])), (F(1, 2),))
+        event = EventSet((part,))
+        diffuse = diffuse_in(m, part.intervals)
+        h = diffuse / (diffuse + F(1, 4))
+        assert split(space, event, (h,)) == reference_split(space, event, (h,))
+        assert space.cond_expectation(split(space, event, (h,))) == (diffuse,)
+        for step in (F(1, 2**64), F(1, COPRIME_WIDE[-1])):
+            with pytest.raises(AtomObstruction) as exc:
+                split(space, event, (h + step,))
+            assert (exc.value.fiber, exc.value.location) == (0, F(1, 2))
+            assert str(exc.value) == obstruction_message(0, F(1, 2))
+            assert reference_split(space, event, (h + step,)) == ("obstruction", 0, F(1, 2))
+
+    def test_max_chain_shrink_sequence(self):
+        """MAX_CHAIN exact halvings, step by step against the reference fill."""
+        rng = rng_for(11, "unit-wide-chain")
+        space = generate_space(rng, FULL_MIXED)
+        c = generate_positive_event(rng, space)
+        diffuse_c = EventSet(tuple(FiberSlice(s.intervals) for s in c.slices))
+        fibers = frozenset(i for i, v in enumerate(space.cond_expectation(diffuse_c)) if v > 0)
+        halves = tuple(F(1, 2) if i in fibers else F(1) for i in range(space.n_fibers))
+        chain = shrink_sequence(space, diffuse_c, fibers, MAX_CHAIN)
+        assert len(chain) == MAX_CHAIN + 1
+        for prev, step in zip(chain, chain[1:]):
+            assert step == reference_split(space, prev, halves)
+        last = chain[-1]
+        assert max(e.denominator.bit_length() for s in last.slices for iv in s.intervals for e in iv) > 64
