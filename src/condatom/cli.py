@@ -10,6 +10,7 @@ operation blocked by a point mass).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -292,7 +293,10 @@ def report_to_text(data: dict) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; parse_args
+    returns a fresh Namespace on every call, so main can be called again."""
     p = argparse.ArgumentParser(
         prog="condatom",
         description="Exact conditional-atomlessness toolkit over scenario files.",
@@ -321,7 +325,8 @@ def main(argv=None) -> int:
             count=args.count,
         )
     except (
-        ScenarioError, InvariantError, MismatchError, InputError, AtomObstruction, OSError
+        ScenarioError, InvariantError, MismatchError, InputError, AtomObstruction, OSError,
+        UnicodeDecodeError,
     ) as e:
         print(f"condatom: {e}", file=sys.stderr)
         return 2

@@ -1,8 +1,8 @@
 """Half-open interval lists on [0, 1] with exact rational endpoints.
 
 A list is a tuple of (lo, hi) pairs with lo < hi, sorted, pairwise
-disjoint, and with touching intervals merged. Boolean operations run an
-endpoint sweep, so every result is again canonical and exact.
+disjoint, and with touching intervals merged. Boolean operations merge
+the two lists' endpoints, so every result is again canonical and exact.
 """
 
 from __future__ import annotations
@@ -42,35 +42,46 @@ def contains(intervals: IntervalList, x) -> bool:
 def sweep(a: IntervalList, b: IntervalList, keep) -> IntervalList:
     """Combine two canonical lists; keep(in_a, in_b) decides per segment.
 
-    A single endpoint walk: each endpoint toggles membership in its own
-    list, and the segment up to the next endpoint is kept or dropped.
-    Endpoints are ordered by integer keys over their common denominator,
-    and the output holds the original endpoint objects.
+    A linear merge of the two lists' endpoints, each already sorted: the
+    k-th endpoint of a list leaves its inside for odd k, and a kept run
+    opens and closes where keep's answer changes, so touching kept
+    segments come out merged. Endpoints are ordered by integer keys over
+    their common denominator, and the output holds the original endpoint
+    objects. With an operand empty, the answer is the other list or ().
     """
+    if not b:
+        return a if a and keep(1, 0) else ()
+    if not a:
+        return b if keep(0, 1) else ()
     den = lcm(*(x.denominator for ivs in (a, b) for iv in ivs for x in iv))
-    events = []
-    for which, intervals in enumerate((a, b)):
-        for lo, hi in intervals:
-            events.append((lo.numerator * (den // lo.denominator), which, 1, lo))
-            events.append((hi.numerator * (den // hi.denominator), which, -1, hi))
-    events.sort()
+    xa = [x for iv in a for x in iv]
+    xb = [x for iv in b for x in iv]
+    ka = [x.numerator * (den // x.denominator) for x in xa]
+    kb = [x.numerator * (den // x.denominator) for x in xb]
+    stop = max(ka[-1], kb[-1]) + 1
+    ka.append(stop)
+    kb.append(stop)
     kept: list[tuple[Fraction, Fraction]] = []
-    in_a = in_b = 0
-    prev = prev_key = end_key = None
-    for key, which, delta, x in events:
-        if prev_key is not None and key != prev_key and keep(in_a, in_b):
-            # output arrives sorted and disjoint; merge touching segments
-            if end_key == prev_key:
-                kept[-1] = (kept[-1][0], x)
-            else:
-                kept.append((prev, x))
-            end_key = key
-        if which:
-            in_b += delta
+    i = j = 0
+    start = None
+    while True:
+        ki, kj = ka[i], kb[j]
+        if ki <= kj:
+            if ki == stop:
+                return tuple(kept)
+            x = xa[i]
+            i += 1
+            if ki == kj:
+                j += 1
         else:
-            in_a += delta
-        prev, prev_key = x, key
-    return tuple(kept)
+            x = xb[j]
+            j += 1
+        if keep(i & 1, j & 1):
+            if start is None:
+                start = x
+        elif start is not None:
+            kept.append((start, x))
+            start = None
 
 
 def union(a: IntervalList, b: IntervalList) -> IntervalList:

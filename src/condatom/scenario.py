@@ -11,8 +11,9 @@ Layout (see README for a full example):
       "params":   {"depth": 3, "seed": 42, ...}
     }
 
-Rationals are "num/den" or integer strings; JSON integers are accepted,
-floats are rejected so exactness cannot leak in. Parsing validates every
+Rationals are "num/den" or integer strings, read with the grammar of
+Python's Fraction(str); JSON integers are accepted, floats are rejected
+so exactness cannot leak in. Parsing validates every
 type invariant and names the violated one in the error.
 """
 
@@ -46,17 +47,46 @@ class Scenario:
     params: dict = field(default_factory=dict)
 
 
-def parse_scalar(value, where: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ScenarioError(f"{where}: {value!r} is not an exact rational")
-    if isinstance(value, int):
-        return Fraction(value)
+def _rational(value) -> Fraction:
+    """value as a Fraction; a ScenarioError says what is wrong, not where.
+    The "-7" and "-7/8" shapes serialize_scenario writes (ASCII digits) are
+    read with int(); other strings go to Fraction(str), same grammar."""
     if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
         try:
+            if digits.isascii() and digits.isdigit():
+                if not slash:
+                    return Fraction(int(num))
+                if den.isascii() and den.isdigit():
+                    return Fraction(int(num), int(den))
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise ScenarioError(f"{where}: cannot parse rational {value!r}") from None
-    raise ScenarioError(f"{where}: expected a rational string, got {type(value).__name__}")
+            raise ScenarioError(f"cannot parse rational {value!r}") from None
+    if isinstance(value, bool) or isinstance(value, float):
+        raise ScenarioError(f"{value!r} is not an exact rational")
+    if isinstance(value, int):
+        return Fraction(value)
+    raise ScenarioError(f"expected a rational string, got {type(value).__name__}")
+
+
+def parse_scalar(value, where: str) -> Fraction:
+    try:
+        return _rational(value)
+    except ScenarioError as e:
+        raise ScenarioError(f"{where}: {e}") from None
+
+
+def _scalars(values, where: str) -> tuple[Fraction, ...]:
+    """Parse a list of rationals; an entry's location is formatted only
+    when it fails."""
+    out = []
+    for j, x in enumerate(_expect(values, list, where)):
+        try:
+            out.append(_rational(x))
+        except ScenarioError as e:
+            raise ScenarioError(f"{where}[{j}]: {e}") from None
+    return tuple(out)
 
 
 def format_scalar(value: Fraction) -> str:
@@ -93,14 +123,8 @@ def _parse_fiber(obj, where: str) -> Fiber:
         )
     measure = FiberMeasure(
         atoms=tuple(atoms),
-        breakpoints=tuple(
-            parse_scalar(x, f"{where}.breakpoints[{j}]")
-            for j, x in enumerate(_expect(obj["breakpoints"], list, f"{where}.breakpoints"))
-        ),
-        densities=tuple(
-            parse_scalar(x, f"{where}.densities[{j}]")
-            for j, x in enumerate(_expect(obj["densities"], list, f"{where}.densities"))
-        ),
+        breakpoints=_scalars(obj["breakpoints"], f"{where}.breakpoints"),
+        densities=_scalars(obj["densities"], f"{where}.densities"),
     )
     return Fiber(parse_scalar(obj["weight"], f"{where}.weight"), measure)
 
@@ -124,19 +148,11 @@ def _parse_event(obj, n_fibers: int, where: str) -> EventSet:
         _reject_unknown(part, {"intervals", "picks"}, f"{where}[{i}]")
         intervals = []
         for j, pair in enumerate(_expect(part.get("intervals", []), list, f"{where}[{i}].intervals")):
-            _expect(pair, list, f"{where}[{i}].intervals[{j}]")
-            if len(pair) != 2:
-                raise ScenarioError(f"{where}[{i}].intervals[{j}]: expected a pair")
-            intervals.append(
-                (
-                    parse_scalar(pair[0], f"{where}[{i}].intervals[{j}][0]"),
-                    parse_scalar(pair[1], f"{where}[{i}].intervals[{j}][1]"),
-                )
-            )
-        picks = tuple(
-            parse_scalar(p, f"{where}[{i}].picks[{j}]")
-            for j, p in enumerate(_expect(part.get("picks", []), list, f"{where}[{i}].picks"))
-        )
+            pair_where = f"{where}[{i}].intervals[{j}]"
+            if len(_expect(pair, list, pair_where)) != 2:
+                raise ScenarioError(f"{pair_where}: expected a pair")
+            intervals.append(_scalars(pair, pair_where))
+        picks = _scalars(part.get("picks", []), f"{where}[{i}].picks")
         slices.append(FiberSlice(tuple(intervals), picks))
     return EventSet(tuple(slices))
 
@@ -162,16 +178,10 @@ def _parse_family(obj) -> MeasureFamily:
             )
         )
     masses = tuple(
-        tuple(
-            parse_scalar(v, f"measures.masses[{k}][{j}]")
-            for j, v in enumerate(_expect(row, list, f"measures.masses[{k}]"))
-        )
+        _scalars(row, f"measures.masses[{k}]")
         for k, row in enumerate(_expect(obj["masses"], list, "measures.masses"))
     )
-    weights = tuple(
-        parse_scalar(w, f"measures.weights[{k}]")
-        for k, w in enumerate(_expect(obj["weights"], list, "measures.weights"))
-    )
+    weights = _scalars(obj["weights"], "measures.weights")
     return MeasureFamily(cells=tuple(cells), masses=masses, weights=weights)
 
 
@@ -191,6 +201,10 @@ def parse_scenario(text: str) -> Scenario:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except (RecursionError, ValueError) as e:
+        # nesting deeper than the interpreter's recursion limit, or an
+        # integer literal longer than int's digit limit
+        raise ScenarioError(f"parse error: {e}") from None
     _expect(obj, dict, "scenario")
     _reject_unknown(obj, {"space", "sets", "h", "measures", "params"}, "scenario")
     if "space" not in obj:
@@ -206,7 +220,7 @@ def parse_scenario(text: str) -> Scenario:
         hs = _expect(obj["h"], list, "h")
         if len(hs) != space.n_fibers:
             raise InvariantError(f"h covers {len(hs)} fibers, space has {space.n_fibers}")
-        h = tuple(parse_scalar(v, f"h[{i}]") for i, v in enumerate(hs))
+        h = _scalars(hs, "h")
         for v in h:
             if not 0 <= v <= 1:
                 raise InvariantError(f"h value {v} outside [0,1]")

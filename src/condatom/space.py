@@ -330,7 +330,9 @@ class EventSet:
             tuple(
                 FiberSlice.trusted(
                     intervals_op(a.intervals, b.intervals),
-                    tuple(sorted(picks_op(set(a.picks), set(b.picks)))),
+                    tuple(sorted(picks_op(set(a.picks), set(b.picks))))
+                    if a.picks or b.picks
+                    else (),
                 )
                 for a, b in zip(self.slices, other.slices)
             )

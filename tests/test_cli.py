@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condatom.cli import COMMANDS, MAX_CHAIN, MAX_DEPTH, MAX_GRID, MAX_INSTANCES, main, run
+from condatom.cli import (
+    COMMANDS,
+    MAX_CHAIN,
+    MAX_DEPTH,
+    MAX_GRID,
+    MAX_INSTANCES,
+    build_parser,
+    main,
+    run,
+)
 from condatom.generate import generate_scenario
 from condatom.scenario import parse_scenario, serialize_scenario
 
@@ -237,12 +246,47 @@ class TestInputErrors:
         assert report["depth"] == 0
         assert sorted(report["levels"]) == ["0", "1"]
 
+    def test_non_utf8_scenario_file(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["check", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("condatom: 'utf-8' codec can't decode")
+
+    def test_deeply_nested_scenario(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text("[" * 100000)
+        assert main(["check", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("condatom: parse error: maximum recursion")
+
     def test_flag_overrides_params(self, tmp_path, capsys):
         body = {**TWO_UNIFORM, "params": {"depth": "3", "count": 2}}
         assert self.main_on(tmp_path, body, ["family", "--depth", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["depth"] == 1
         assert self.main_on(tmp_path, body, ["uniform"]) == 0
         assert json.loads(capsys.readouterr().out)["grid"] == 2
+
+
+class TestRepeatedMain:
+    """main builds its parser once per process and can be called again."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_value_leaks_between_calls(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        for params, depth in (({}, 3), ({"depth": 2}, 2)):
+            path.write_text(json.dumps({**TWO_UNIFORM, "params": params}))
+            assert main(["family", "--scenario", str(path), "--depth", "0"]) == 0
+            assert json.loads(capsys.readouterr().out)["depth"] == 0
+            assert main(["family", "--scenario", str(path)]) == 0
+            assert json.loads(capsys.readouterr().out)["depth"] == depth
+
+    def test_unknown_command_exits_2_every_time(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as stop:
+                main(["nonsense"])
+            assert stop.value.code == 2
+            assert "invalid choice: 'nonsense'" in capsys.readouterr().err
 
 
 CAPS = {"depth": MAX_DEPTH, "count": MAX_GRID, "n": MAX_CHAIN}

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import point_in
 
 from condatom import intervals as iv
 
@@ -68,3 +70,69 @@ def test_lengths_are_additive(a, b):
     only_b = iv.total_length(iv.difference(b, a))
     both = iv.total_length(iv.intersect(a, b))
     assert iv.total_length(iv.union(a, b)) == only_a + only_b + both
+
+
+# the largest 64-bit primes: pairwise coprime, so two endpoints with
+# different denominators never share a key below the lists' full lcm
+PRIMES_64 = tuple(2**64 - k for k in (59, 83, 95, 179))
+OPS = {
+    "union": lambda x, y: x or y,
+    "intersect": lambda x, y: x and y,
+    "difference": lambda x, y: x and not y,
+}
+
+wide_fracs = st.builds(
+    lambda q, p: F(p % (q + 1), q), st.sampled_from(PRIMES_64), st.integers(0, 2**64)
+)
+
+
+def _pairs(points):
+    points = sorted(points)
+    return iv.canonical(zip(points[0::2], points[1::2]))
+
+
+@st.composite
+def touching_lists(draw):
+    """Two canonical lists whose endpoints come from one shared pool, so
+    an interval of one often starts or ends where one of the other does."""
+    pool = draw(st.lists(wide_fracs, min_size=2, max_size=10, unique=True))
+    a = _pairs(draw(st.sets(st.sampled_from(pool))))
+    b = _pairs(draw(st.sets(st.sampled_from(pool))))
+    return a, b
+
+
+def _agrees_with_point_in(a, b):
+    """Each result is canonical and, at every endpoint and between every
+    two neighbouring ones, matches pointwise membership."""
+    ends = sorted({x for ivs in (a, b) for pair in ivs for x in pair} | {F(0), F(1)})
+    probes = ends + [(x + y) / 2 for x, y in zip(ends, ends[1:])]
+    for name, truth in OPS.items():
+        out = getattr(iv, name)(a, b)
+        assert iv.canonical(out) == out
+        for x in probes:
+            assert point_in(out, x) == truth(point_in(a, x), point_in(b, x)), (name, x)
+
+
+@given(touching_lists())
+def test_operations_on_touching_wide_endpoints(lists):
+    _agrees_with_point_in(*lists)
+
+
+EXAMPLE = ((F(1, PRIMES_64[0]), F(1, 3)), (F(1, 2), F(PRIMES_64[1] - 1, PRIMES_64[1])))
+
+
+@pytest.mark.parametrize("a,b", [((), ()), (EXAMPLE, ()), ((), EXAMPLE)])
+def test_operations_with_an_empty_operand(a, b):
+    _agrees_with_point_in(a, b)
+    assert iv.union(a, b) == a + b
+    assert iv.intersect(a, b) == ()
+    assert iv.difference(a, b) == a
+
+
+def test_touching_across_lists_merges():
+    x, y = F(1, PRIMES_64[2]), F(2, PRIMES_64[3])
+    a, b = ((F(0), x),), ((x, y),)
+    assert iv.union(a, b) == ((F(0), y),)
+    assert iv.intersect(a, b) == ()
+    assert iv.difference(b, a) == b
+    _agrees_with_point_in(a, b)

@@ -257,6 +257,17 @@ class TestCombine:
         expected = EventSet((FiberSlice(((0, F(1, 3)), (F(2, 3), 1))),))
         assert combine("difference", whole, mid) == expected
 
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_picks_on_one_side_only(self, side):
+        picked = EventSet((FiberSlice(((0, F(1, 4)),), picks=(F(1, 2), F(1, 3))),))
+        plain = EventSet((FiberSlice(((F(1, 8), 1),)),))
+        a, b = (picked, plain) if side == 0 else (plain, picked)
+        picks = (F(1, 3), F(1, 2))
+        assert a.union(b).slices[0].picks == picks
+        assert a.intersect(b).slices[0].picks == ()
+        assert a.difference(b).slices[0].picks == (picks if side == 0 else ())
+        assert plain.difference(plain).slices[0].picks == ()
+
     def test_unknown_operation(self):
         a = EventSet((FiberSlice(),))
         with pytest.raises(ValueError, match="unknown set operation"):
