@@ -48,7 +48,6 @@ from .space import (
     FiberSlice,
     InvariantError,
     MismatchError,
-    combine,
 )
 from .splitting import (
     AtomObstruction,
@@ -98,7 +97,6 @@ __all__ = [
     "block_uniform_transform",
     "build_dyadic_family",
     "build_uniform",
-    "combine",
     "cond_exp_on_partition",
     "conditionally_atomless",
     "density_partition",

@@ -324,17 +324,17 @@ def main(argv=None) -> int:
             depth=args.depth,
             count=args.count,
         )
+        text = report_to_text(data)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except (
         ScenarioError, InvariantError, MismatchError, InputError, AtomObstruction, OSError,
         UnicodeDecodeError,
     ) as e:
         print(f"condatom: {e}", file=sys.stderr)
         return 2
-    text = report_to_text(data)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0 if data["status"] == "pass" else 1
 

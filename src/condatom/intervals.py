@@ -29,16 +29,6 @@ def canonical(pairs) -> IntervalList:
     return tuple((lo, hi) for lo, hi in out)
 
 
-def contains(intervals: IntervalList, x) -> bool:
-    """Point membership under the half-open convention."""
-    for lo, hi in intervals:
-        if x < lo:
-            return False
-        if x < hi:
-            return True
-    return False
-
-
 def sweep(a: IntervalList, b: IntervalList, keep) -> IntervalList:
     """Combine two canonical lists; keep(in_a, in_b) decides per segment.
 
@@ -118,13 +108,3 @@ def is_subset(a: IntervalList, b: IntervalList) -> bool:
             return False
     return True
 
-
-def total_length(intervals: IntervalList) -> Fraction:
-    return sum((hi - lo for lo, hi in intervals), ZERO)
-
-
-def clip(intervals: IntervalList, lo, hi) -> IntervalList:
-    """Restrict to [lo, hi)."""
-    if lo >= hi:
-        return ()
-    return intersect(intervals, ((lo, hi),))

@@ -1,7 +1,8 @@
 """Piecewise-linear functions on [0, 1] with exact rational nodes.
 
-Evaluation and leftmost preimages both read the function's integer node
-table (space.NodeTable), built once per function.
+Evaluation, leftmost preimages and the monotonicity check all read the
+function's integer node table (space.NodeTable), built once per function
+or shared with the table it was made from (PiecewiseLinear.of_table).
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ from .space import InvariantError, NodeTable, as_fraction
 
 @dataclass(frozen=True)
 class PiecewiseLinear:
-    """Nodes (xs, ys) with linear interpolation; xs runs from 0 to 1."""
+    """Nodes (xs, ys) with linear interpolation; xs runs from 0 to 1.
+
+    The constructor coerces and validates its nodes. of_table instead
+    makes a view of an existing NodeTable, such as a fiber's cumulative
+    diffuse mass (FiberMeasure.table), sharing its nodes and the table
+    itself, so no Fraction is compared or converted again.
+    """
 
     xs: tuple[Fraction, ...]
     ys: tuple[Fraction, ...]
@@ -48,12 +55,24 @@ class PiecewiseLinear:
         return cls(tuple(xs), tuple(ys))
 
     @classmethod
+    def of_table(cls, table: NodeTable) -> PiecewiseLinear:
+        """The function through table's nodes, whose xs must already run
+        strictly increasing from 0 to 1; shares table.xs, table.ys and
+        table itself."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "xs", table.xs)
+        object.__setattr__(out, "ys", table.ys)
+        object.__setattr__(out, "table", table)
+        return out
+
+    @classmethod
     def constant(cls, value) -> PiecewiseLinear:
         return cls((ZERO, ONE), (as_fraction(value), as_fraction(value)))
 
     @cached_property
     def nondecreasing(self) -> bool:
-        return all(a <= b for a, b in zip(self.ys, self.ys[1:]))
+        Y = self.table.Y
+        return all(a <= b for a, b in zip(Y, Y[1:]))
 
     @cached_property
     def table(self) -> NodeTable:

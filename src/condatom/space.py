@@ -360,13 +360,6 @@ class EventSet:
         return True
 
 
-def combine(op: str, a: EventSet, b: EventSet) -> EventSet:
-    """Set-algebra entry point; op is one of union, intersect, difference."""
-    if op not in ("union", "intersect", "difference"):
-        raise ValueError(f"unknown set operation {op!r}")
-    return getattr(a, op)(b)
-
-
 @dataclass(frozen=True)
 class Fiber:
     weight: Fraction

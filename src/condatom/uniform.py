@@ -11,10 +11,13 @@ consecutive sets, yields the same sets; it is kept in condatom.selftest
 as one side of the construction-agreement criterion and pinned set for
 set against this family by the unit tests. set_at_level produces any
 single level, and level_set the strict level sets of the per-fiber
-conditional CDFs that build_uniform packages; all three read their
-prefixes off the inverse of the fiber's integer node table
-(space.NodeTable). level_scan finds a level whose intersection with a
-given event is conditionally strictly between empty and full.
+conditional CDFs that build_uniform packages. Those CDFs are views of
+each fiber's own integer node table (FiberMeasure.table, a
+space.NodeTable), not copies, so there is one table per fiber; all three
+read their prefixes off its preimage and do their range checks on its
+ints by cross-multiplication, comparing no Fractions. level_scan finds a
+level whose intersection with a given event is conditionally strictly
+between empty and full.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intervals import ONE, ZERO, clip
+from .intervals import ONE, ZERO, intersect
 from .piecewise import PiecewiseLinear
 from .space import (
     EventSet,
@@ -56,18 +59,21 @@ class DyadicFamily:
 
 @dataclass(frozen=True)
 class UniformRV:
-    """Per-fiber conditional CDFs y -> mass of [0, y); each nondecreasing."""
+    """Per-fiber conditional CDFs y -> mass of [0, y); each nondecreasing.
+    The checks read each CDF's node table: ys[0] = 0 exactly when Y[0]
+    is 0, and ys[-1] <= 1 exactly when Y[-1] <= ly."""
 
     cdfs: tuple[PiecewiseLinear, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "cdfs", tuple(self.cdfs))
         for u in self.cdfs:
-            if u.ys[0] != 0:
+            table = u.table
+            if table.Y[0] != 0:
                 raise InvariantError("a conditional CDF must start at 0")
             if not u.nondecreasing:
                 raise InvariantError("a conditional CDF must be nondecreasing")
-            if u.ys[-1] > 1:
+            if table.Y[-1] > table.ly:
                 raise InvariantError("a conditional CDF cannot exceed 1")
 
 
@@ -96,46 +102,48 @@ def set_at_level(space: FiberedSpace, t) -> EventSet:
     """The event of per-fiber mass exactly t: on every fiber the prefix
     [0, q_t) read off the fiber's node table. A fiber whose diffuse mass is
     below t cannot reach it, since point masses cannot be cut; its first
-    atom is named in the AtomObstruction."""
+    atom is named in the AtomObstruction. With t = p/q, both range checks
+    cross-multiply p and q against the table's ints."""
     t = as_fraction(t)
-    if not 0 <= t <= 1:
+    p, q = t.numerator, t.denominator
+    if not 0 <= p <= q:
         raise InvariantError(f"level {t} outside [0,1]")
-    if t == 0:
+    if p == 0:
         return space.empty_event()
-    if t == 1:
+    if p == q:
         return space.whole_event()
     out = []
     for i, fiber in enumerate(space.fibers):
         m = fiber.measure
-        if t > m.diffuse_total:
+        table = m.table
+        if p * table.ly > table.Y[-1] * q:
             raise AtomObstruction(i, m.atoms[0][0])
-        out.append(FiberSlice.trusted(((ZERO, m.quantiles((t,))[0]),)))
+        out.append(FiberSlice.trusted(((ZERO, table.preimage(p, q)),)))
     return EventSet(tuple(out))
 
 
 def build_uniform(space: FiberedSpace) -> UniformRV:
-    """Per-fiber conditional CDFs of an atomless space."""
+    """Per-fiber conditional CDFs of an atomless space, each a view of
+    the fiber's own node table."""
     _require_atomless(space)
-    return UniformRV(
-        tuple(
-            PiecewiseLinear(f.measure.breakpoints, f.measure.diffuse_cumulative)
-            for f in space.fibers
-        )
-    )
+    return UniformRV(tuple(PiecewiseLinear.of_table(f.measure.table) for f in space.fibers))
 
 
 def level_set(rv: UniformRV, t) -> EventSet:
     """The event {u < t}, per fiber a prefix [0, y) of the line, with y
-    the leftmost preimage of t in the node table of the fiber's CDF."""
+    the leftmost preimage of t in the node table of the fiber's CDF; t
+    above the CDF's last value gives the whole line [0, 1)."""
     t = as_fraction(t)
+    p, q = t.numerator, t.denominator
     out = []
     for u in rv.cdfs:
-        if t <= 0:
+        table = u.table
+        if p <= 0:
             out.append(FiberSlice())
-        elif t > u.ys[-1]:
+        elif p * table.ly > table.Y[-1] * q:
             out.append(FiberSlice.trusted(((ZERO, ONE),)))
         else:
-            out.append(FiberSlice.trusted(((ZERO, u.table.inverse(t)),)))
+            out.append(FiberSlice.trusted(((ZERO, table.preimage(p, q)),)))
     return EventSet(tuple(out))
 
 
@@ -156,8 +164,8 @@ def intersection_mass_curves(space: FiberedSpace, event: EventSet) -> tuple[Piec
         ys = sorted(set(m.breakpoints) | {e for iv in part.intervals for e in iv})
         pts = []
         for y in ys:
-            t = m.diffuse_mass(((ZERO, y),)) if y > 0 else ZERO
-            v = m.diffuse_mass(clip(part.intervals, ZERO, y)) if y > 0 else ZERO
+            t = m.table.forward(y)
+            v = m.diffuse_mass(intersect(part.intervals, ((ZERO, y),))) if y > 0 else ZERO
             pts.append((t, v))
         curves.append(PiecewiseLinear.from_graph(pts))
     return tuple(curves)

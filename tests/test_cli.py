@@ -138,6 +138,30 @@ class TestCommandLine:
             assert res.returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_out_into_a_missing_directory_is_input_error(self, scenario_file, tmp_path):
+        out = tmp_path / "missing" / "r.json"
+        res = invoke(["check", "--scenario", str(scenario_file), "--out", str(out)])
+        assert res.returncode == 2
+        assert res.stderr.startswith("condatom: [Errno 2] No such file or directory")
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+        assert not out.parent.exists()
+
+    def test_out_at_a_directory_is_input_error(self, scenario_file, tmp_path):
+        res = invoke(["check", "--scenario", str(scenario_file), "--out", str(tmp_path)])
+        assert res.returncode == 2
+        assert res.stderr.startswith("condatom: [Errno 21] Is a directory")
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+    def test_out_file_holds_the_stdout_bytes(self, scenario_file, tmp_path, capsys):
+        assert main(["check", "--scenario", str(scenario_file)]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "r.json"
+        assert main(["check", "--scenario", str(scenario_file), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text(encoding="utf-8") == printed
+
     def test_selftest_reports_are_byte_identical(self, tmp_path):
         runs = []
         for name in ("a.json", "b.json"):

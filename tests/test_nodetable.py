@@ -79,6 +79,16 @@ def test_piecewise_at_matches_interpolation_on_any_ys(graph, x):
         assert f.at(point) == interpolate(xs, ys, point)
 
 
+@given(graphs())
+def test_nondecreasing_on_the_table_ints_matches_the_fractions(graph):
+    xs, ys = graph
+    f = PiecewiseLinear(xs, ys)
+    assert f.nondecreasing == all(a <= b for a, b in zip(ys, ys[1:]))
+    view = PiecewiseLinear.of_table(f.table)
+    assert view == f and view.table is f.table
+    assert view.nondecreasing == f.nondecreasing
+
+
 def test_piecewise_at_still_refuses_points_outside_the_unit_interval():
     f = PiecewiseLinear((F(0), F(1)), (F(0), F(1)))
     with pytest.raises(ValueError, match=r"argument 5/4 outside \[0,1\]"):

@@ -14,7 +14,6 @@ from condatom import (
     FiberSlice,
     InvariantError,
     MismatchError,
-    combine,
 )
 from condatom.generate import generate_space
 from condatom.selftest import FULL_MIXED
@@ -244,18 +243,18 @@ class TestCondExpectation:
 class TestCombine:
     def test_union_with_empty_is_identity(self, two_fiber_space):
         a = both(((0, F(1, 2)),))
-        assert combine("union", two_fiber_space.empty_event(), a) == a
+        assert two_fiber_space.empty_event().union(a) == a
 
     def test_intersect_example(self):
         a = EventSet((FiberSlice(((0, F(1, 2)),)),))
         b = EventSet((FiberSlice(((F(1, 4), F(3, 4)),)),))
-        assert combine("intersect", a, b) == EventSet((FiberSlice(((F(1, 4), F(1, 2)),)),))
+        assert a.intersect(b) == EventSet((FiberSlice(((F(1, 4), F(1, 2)),)),))
 
     def test_difference_example(self):
         whole = EventSet((FiberSlice(((0, 1),)),))
         mid = EventSet((FiberSlice(((F(1, 3), F(2, 3)),)),))
         expected = EventSet((FiberSlice(((0, F(1, 3)), (F(2, 3), 1))),))
-        assert combine("difference", whole, mid) == expected
+        assert whole.difference(mid) == expected
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_picks_on_one_side_only(self, side):
@@ -267,11 +266,6 @@ class TestCombine:
         assert a.intersect(b).slices[0].picks == ()
         assert a.difference(b).slices[0].picks == (picks if side == 0 else ())
         assert plain.difference(plain).slices[0].picks == ()
-
-    def test_unknown_operation(self):
-        a = EventSet((FiberSlice(),))
-        with pytest.raises(ValueError, match="unknown set operation"):
-            combine("xor", a, a)
 
     def test_results_stable_under_recanonicalization(self, two_fiber_space):
         a = both(((0, F(1, 2)),))

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from oracles import staircase_value
+from oracles import diffuse_in, leftmost_preimage, staircase_value
 
 from condatom import (
     AtomObstruction,
@@ -10,6 +10,9 @@ from condatom import (
     FiberedSpace,
     FiberMeasure,
     FiberSlice,
+    InvariantError,
+    PiecewiseLinear,
+    UniformRV,
     build_dyadic_family,
     build_uniform,
     intersection_mass_curves,
@@ -29,6 +32,13 @@ ZERO_STRETCH = FiberMeasure(breakpoints=(0, F(1, 4), F(3, 4), 1), densities=(2, 
 WITH_ATOM = FiberMeasure(
     atoms=((F(1, 2), F(1, 2)),), breakpoints=(0, F(1, 2), 1), densities=(1, 0)
 )
+# diffuse mass 3/4 on [0, 1/2), then two atoms of 1/8 each
+TWO_ATOMS = FiberMeasure(
+    atoms=((F(1, 4), F(1, 8)), (F(3, 4), F(1, 8))),
+    breakpoints=(0, F(1, 2), 1),
+    densities=(F(3, 2), 0),
+)
+LEBESGUE_CDF = PiecewiseLinear((0, 1), (0, 1))
 
 
 def single(measure):
@@ -224,3 +234,91 @@ class TestMassCurves:
             values = [curve.at(t) for t in grid]
             for (s, gs), (t, gt) in zip(zip(grid, values), zip(grid[1:], values[1:])):
                 assert 0 <= gt - gs <= t - s
+
+
+class TestOneTablePerFiber:
+    """The uniform side reads each fiber's own node table: the CDFs are
+    views of it, and set_at_level and level_set check their ranges on its
+    ints. Results are pinned against the plain-Fraction oracles."""
+
+    @staticmethod
+    def assert_prefix(measure, part, t):
+        """part is the prefix [0, y) whose y is the leftmost preimage of t
+        under the fiber's cumulative diffuse mass, and has that mass t."""
+        y = leftmost_preimage(measure.breakpoints, measure.diffuse_cumulative, t)
+        assert part.intervals == (((F(0), y),) if y > 0 else ())
+        assert part.picks == ()
+        assert diffuse_in(measure, part.intervals) == t
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_cdfs_share_the_fiber_tables(self, index):
+        space = generate_space(rng_for(index, "one-table"), FULL_ATOMLESS)
+        rv = build_uniform(space)
+        for u, fiber in zip(rv.cdfs, space.fibers):
+            m = fiber.measure
+            assert u.table is m.table
+            assert u.xs is m.table.xs and u.ys is m.table.ys
+            assert u == PiecewiseLinear(m.breakpoints, m.diffuse_cumulative)
+
+    def test_endpoints_match_the_oracle(self, two_fiber_space):
+        rv = build_uniform(two_fiber_space)
+        for t in (F(0), F(1)):
+            direct = set_at_level(two_fiber_space, t)
+            via_rv = level_set(rv, t)
+            for fiber, a, b in zip(two_fiber_space.fibers, direct.slices, via_rv.slices):
+                m = fiber.measure
+                assert diffuse_in(m, a.intervals) == t
+                self.assert_prefix(m, b, t)
+
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_interior_levels_match_the_oracle(self, two_fiber_space, k):
+        t = F(k, 16)
+        rv = build_uniform(two_fiber_space)
+        direct = set_at_level(two_fiber_space, t)
+        assert direct == level_set(rv, t)
+        for fiber, part in zip(two_fiber_space.fibers, direct.slices):
+            self.assert_prefix(fiber.measure, part, t)
+
+    def test_set_at_level_at_a_fibers_diffuse_total(self):
+        space = FiberedSpace((Fiber(F(1, 2), TWO_ATOMS), Fiber(F(1, 2), LEBESGUE)))
+        t = TWO_ATOMS.diffuse_total
+        event = set_at_level(space, t)
+        for fiber, part in zip(space.fibers, event.slices):
+            self.assert_prefix(fiber.measure, part, t)
+
+    def test_set_at_level_just_above_a_fibers_diffuse_total(self):
+        space = FiberedSpace((Fiber(F(1, 2), LEBESGUE), Fiber(F(1, 2), TWO_ATOMS)))
+        t = TWO_ATOMS.diffuse_total + F(1, 2**70)
+        with pytest.raises(AtomObstruction) as info:
+            set_at_level(space, t)
+        assert (info.value.fiber, info.value.location) == (1, F(1, 4))
+
+    @pytest.mark.parametrize("t", [F(-1), F(-1, 3), F(0)])
+    def test_level_set_at_or_below_zero_is_empty(self, t):
+        rv = UniformRV((PiecewiseLinear.of_table(TWO_ATOMS.table),))
+        assert level_set(rv, t) == EventSet((FiberSlice(),))
+
+    def test_level_set_up_to_a_cdfs_last_value(self):
+        rv = UniformRV((PiecewiseLinear.of_table(TWO_ATOMS.table),))
+        top = TWO_ATOMS.diffuse_total
+        for t in (F(1, 3), top - F(1, 2**70), top):
+            self.assert_prefix(TWO_ATOMS, level_set(rv, t).slices[0], t)
+
+    @pytest.mark.parametrize("above", [F(1, 2**70), F(1, 8), F(1, 4), F(5, 4)])
+    def test_level_set_above_a_cdfs_last_value_is_the_whole_line(self, above):
+        rv = UniformRV((PiecewiseLinear.of_table(TWO_ATOMS.table),))
+        t = TWO_ATOMS.diffuse_total + above
+        assert level_set(rv, t).slices[0].intervals == ((F(0), F(1)),)
+
+    @pytest.mark.parametrize(
+        "ys,message",
+        [
+            ((F(1, 8), F(1)), "a conditional CDF must start at 0"),
+            ((0, F(3, 4), F(1, 2)), "a conditional CDF must be nondecreasing"),
+            ((0, F(1, 2), F(9, 8)), "a conditional CDF cannot exceed 1"),
+        ],
+    )
+    def test_hand_made_cdfs_are_still_refused(self, ys, message):
+        xs = (0, 1) if len(ys) == 2 else (0, F(1, 2), 1)
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            UniformRV((LEBESGUE_CDF, PiecewiseLinear(xs, ys)))
