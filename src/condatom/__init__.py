@@ -1,20 +1,19 @@
 """Exact-arithmetic toolkit for conditional atomlessness on fibered spaces.
 
 Everything is computed over arbitrary-precision rationals: event algebra
-and conditional expectations (space), strict splitting and shrink chains
-(splitting), the dyadic family and the uniform variable independent of
-the fibers (uniform), fiber-level atom scans and pushforward residuals
-(kernel), and the density-vector partition calculus for finite families
-of measures (densities). The cli module exposes the batch surface and
-selftest holds the seeded property suites.
+and conditional expectations (space), strict splitting, shrink chains
+and the fiber-level atom scan behind every atom verdict (splitting), the
+dyadic family and the uniform variable independent of the fibers
+(uniform), pushforward residuals (kernel), and the density-vector
+partition calculus for finite families of measures (densities). The cli
+module exposes the batch surface and selftest holds the seeded property
+suites.
 """
 
 from .densities import (
     Cell,
     CellPartition,
     MeasureFamily,
-    block_level_mass,
-    block_uniform_transform,
     cond_exp_on_partition,
     conditionally_atomless,
     density_partition,
@@ -26,10 +25,8 @@ from .densities import (
     to_fibered_space,
 )
 from .kernel import (
-    KernelReport,
     TestFunction,
     hat_family,
-    kernel_atom_scan,
     pushforward_uniformity_check,
     system_nodes,
 )
@@ -52,9 +49,10 @@ from .space import (
 from .splitting import (
     AtomObstruction,
     AtomWitness,
+    KernelReport,
     atom_witness,
     is_conditionally_atomless,
-    maximal_split_region,
+    kernel_atom_scan,
     shrink_sequence,
     split,
     strict_split_witness,
@@ -93,8 +91,6 @@ __all__ = [
     "TestFunction",
     "UniformRV",
     "atom_witness",
-    "block_level_mass",
-    "block_uniform_transform",
     "build_dyadic_family",
     "build_uniform",
     "cond_exp_on_partition",
@@ -108,7 +104,6 @@ __all__ = [
     "kernel_atom_scan",
     "level_scan",
     "level_set",
-    "maximal_split_region",
     "mixture",
     "null_cells",
     "parse_scenario",

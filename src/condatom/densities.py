@@ -7,8 +7,9 @@ are the per-cell ratios against it, with the convention that they vanish
 on null cells. Grouping cells by their density vector yields the finite
 algebra the densities generate, and partitions are compared modulo the
 mixture's null cells. The atomless verdict asks whether the mixture puts
-point mass inside any positive block; when it does not, ordering each
-block's cells and applying the cumulative-mass transform yields a
+point mass inside any positive block. to_fibered_space lays each
+positive block's cells out on [0, 1] by cumulative mass, one fiber per
+block; when no block holds point mass, build_uniform on that space is a
 variable uniform on [0, 1] within every block.
 """
 
@@ -126,9 +127,6 @@ class CellPartition:
                     raise InvariantError("block ids must appear in first-seen order from 0")
                 seen.append(b)
 
-    def members(self, block: int) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.blocks) if b == block)
-
 
 def mixture(family: MeasureFamily) -> tuple[Fraction, ...]:
     """Per-cell mass of the weighted mixture; totals exactly 1."""
@@ -223,11 +221,15 @@ def conditionally_atomless(family: MeasureFamily) -> bool:
     return site_witness(family) is None
 
 
-def _block_layouts(family: MeasureFamily, partition: CellPartition):
-    """Per positive-mass block, in the order of its first cell along the
-    fibers: its mixture mass and the cumulative-mass layout of its
-    positive-mass cells in position order, as (cell index, u_lo, u_hi)
-    with u_hi - u_lo = cell mass / block mass."""
+def to_fibered_space(family: MeasureFamily, partition: CellPartition) -> FiberedSpace:
+    """Regroup the mixture by partition blocks: each positive-mass block
+    becomes one fiber, in block order, with its positive-mass cells laid
+    out on [0, 1] in position order, each over a span of length cell
+    mass / block mass. Interval cells become unit-density stretches,
+    point sites become atoms at the start of a zero-density stretch of
+    their span. The variable uniform within every block is
+    build_uniform of this space, which refuses it when a block holds a
+    positive site."""
 
     def position(c):
         cell = family.cells[c]
@@ -237,68 +239,20 @@ def _block_layouts(family: MeasureFamily, partition: CellPartition):
     grouped: dict[int, list[int]] = {}
     for c in sorted(range(family.n_cells), key=position):
         grouped.setdefault(partition.blocks[c], []).append(c)
-    out = {}
-    for block, members in grouped.items():
+    fibers = []
+    for _, members in sorted(grouped.items()):
         mass = sum((base[c] for c in members), ZERO)
-        spans = []
-        cum = ZERO
+        atoms, breakpoints, densities = [], [ZERO], []
         for c in members:
             if base[c] > 0:
-                nxt = cum + base[c] / mass
-                spans.append((c, cum, nxt))
-                cum = nxt
-        if spans:
-            out[block] = mass, tuple(spans)
-    return out
-
-
-def block_uniform_transform(
-    family: MeasureFamily, partition: CellPartition
-) -> dict[int, tuple[tuple[int, Fraction, Fraction], ...]]:
-    """Per positive-mass block, the cumulative-mass layout of its cells:
-    (cell index, u_lo, u_hi) with span length = cell mass / block mass.
-
-    The variable that is uniform within every block reads off a cell's
-    span linearly; point sites would occupy a span of positive length
-    with all mass at one value, so the transform refuses them."""
-    out = {}
-    for block, (_, spans) in _block_layouts(family, partition).items():
-        for c, _, _ in spans:
-            if family.cells[c].is_site:
-                raise InvariantError(
-                    f"cell {c} is a point site with positive mass; no uniform transform"
-                )
-        out[block] = spans
-    return out
-
-
-def block_level_mass(family: MeasureFamily, spans, t) -> Fraction:
-    """Normalized mass of {U < t} within one block: each cell contributes
-    its share of the block mass times the covered fraction of its span.
-    Equals t exactly for every t in [0, 1] when U is uniform there."""
-    t = as_fraction(t)
-    base = mixture(family)
-    block_mass = sum((base[c] for c, _, _ in spans), ZERO)
-    total = ZERO
-    for c, u_lo, u_hi in spans:
-        if t <= u_lo:
+                lo, hi = breakpoints[-1], breakpoints[-1] + base[c] / mass
+                site = family.cells[c].is_site
+                if site:
+                    atoms.append((lo, hi - lo))
+                densities.append(ZERO if site else ONE)
+                breakpoints.append(hi)
+        if not densities:
             continue
-        covered = (min(t, u_hi) - u_lo) / (u_hi - u_lo)
-        total += (base[c] / block_mass) * covered
-    return total
-
-
-def to_fibered_space(family: MeasureFamily, partition: CellPartition) -> FiberedSpace:
-    """Regroup the mixture by partition blocks: each positive-mass block
-    becomes one fiber, its cells laid out on [0, 1] by cumulative mass.
-    Interval cells become unit-density stretches, point sites become
-    atoms at the start of a zero-density stretch of their span."""
-    fibers = []
-    for _, (mass, spans) in sorted(_block_layouts(family, partition).items()):
-        sites = [family.cells[c].is_site for c, _, _ in spans]
-        atoms = [(lo, hi - lo) for (_, lo, hi), site in zip(spans, sites) if site]
-        densities = [ZERO if site else ONE for site in sites]
-        breakpoints = [ZERO] + [hi for _, _, hi in spans]
         if breakpoints[-1] != 1:
             raise AssertionError("block layout does not fill [0, 1]")
         fibers.append(

@@ -1,43 +1,28 @@
 """Fiber-level atom scanning and exact pushforward uniformity checks.
 
 Each fiber measure is the conditional law on its fiber, so scanning the
-fibers' point masses decides atomlessness at the kernel level; the
-verdict must match is_conditionally_atomless on every space. The
-complementary check integrates test functions against the transported
-variable: for g piecewise linear and u a fiber CDF, g(u(y)) integrates
-exactly against the fiber's step density after refining nodes, and on an
-atomless space every residual against the flat integral of g is 0. Hat
-functions at every system node determine the whole pushforward, standing
-in for a dense family of continuous tests.
+fibers' point masses decides atomlessness at the kernel level. That
+scan, kernel_atom_scan with its KernelReport, lives in splitting next to
+the verdicts read off it and is re-exported here. The complementary
+check integrates test functions against the transported variable: for g
+piecewise linear and u a fiber CDF, g(u(y)) integrates exactly against
+the fiber's step density after refining nodes, and on an atomless space
+every residual against the flat integral of g is 0. Hat functions at
+every system node determine the whole pushforward, standing in for a
+dense family of continuous tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .intervals import ONE, ZERO
 from .piecewise import PiecewiseLinear
 from .space import FiberedSpace, InvariantError, MismatchError
+from .splitting import KernelReport, kernel_atom_scan  # re-exported: the kernel-level scan
 from .uniform import UniformRV
 
 TestFunction = PiecewiseLinear
-
-
-@dataclass(frozen=True)
-class KernelReport:
-    """Per-fiber atom lists; atomless iff all of them are empty."""
-
-    fiber_atoms: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
-
-    @property
-    def atomless(self) -> bool:
-        return all(not atoms for atoms in self.fiber_atoms)
-
-
-def kernel_atom_scan(space: FiberedSpace) -> KernelReport:
-    """Exact enumeration of every fiber's point masses."""
-    return KernelReport(tuple(f.measure.atoms for f in space.fibers))
 
 
 def pushforward_uniformity_check(

@@ -12,6 +12,10 @@ cross-multiplying ints, and the only Fraction built is the cut.
 Point masses can never be cut, so a strict interior target is reachable
 only through diffuse mass; when picked atoms make it unreachable the
 split raises AtomObstruction instead of approximating.
+
+The fibers' point masses are read in one place, kernel_atom_scan: its
+KernelReport gives every atom verdict, and verdict_holds tests such a
+verdict against split and strict_split_witness.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .intervals import ONE, ZERO
 from .space import (
     EventSet,
     FiberedSpace,
@@ -52,13 +57,37 @@ class AtomObstruction(Exception):
         self.location = location
 
 
+@dataclass(frozen=True)
+class KernelReport:
+    """Per-fiber atom lists; atomless iff all of them are empty. This is
+    the one reading of the fibers' point masses: every atom verdict
+    (atom_witness, is_conditionally_atomless, the uniform side's
+    refusal) is taken from it."""
+
+    fiber_atoms: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
+
+    @property
+    def atomless(self) -> bool:
+        return all(not atoms for atoms in self.fiber_atoms)
+
+    @property
+    def witness(self) -> AtomWitness | None:
+        """The first atom of the first fiber that has one, or None."""
+        for i, atoms in enumerate(self.fiber_atoms):
+            if atoms:
+                loc, w = atoms[0]
+                return AtomWitness(i, loc, w)
+        return None
+
+
+def kernel_atom_scan(space: FiberedSpace) -> KernelReport:
+    """Exact enumeration of every fiber's point masses."""
+    return KernelReport(tuple(f.measure.atoms for f in space.fibers))
+
+
 def atom_witness(space: FiberedSpace) -> AtomWitness | None:
     """First point mass found in any fiber, or None when there is none."""
-    for i, fiber in enumerate(space.fibers):
-        if fiber.measure.atoms:
-            loc, w = fiber.measure.atoms[0]
-            return AtomWitness(i, loc, w)
-    return None
+    return kernel_atom_scan(space).witness
 
 
 def is_conditionally_atomless(space: FiberedSpace) -> bool:
@@ -66,10 +95,10 @@ def is_conditionally_atomless(space: FiberedSpace) -> bool:
 
     In this model that is exactly the condition under which every event
     of positive conditional measure admits a strict conditional
-    sub-event on every fiber; the equivalence is exercised by the
-    property suite against strict_split_witness.
+    sub-event on every fiber; verdict_holds checks the verdict against
+    that splitting behaviour.
     """
-    return atom_witness(space) is None
+    return kernel_atom_scan(space).atomless
 
 
 def _read(measure: FiberMeasure, intervals) -> tuple[list, int, int]:
@@ -158,15 +187,6 @@ def _strict_readings(space: FiberedSpace, event: EventSet):
     return out
 
 
-def maximal_split_region(space: FiberedSpace, event: EventSet) -> FiberSet:
-    """All fibers whose slice of the event admits a strict sub-slice.
-
-    The event splits strictly on every fiber where it has positive mass
-    iff this region equals {i : cond_expectation(event)_i > 0}.
-    """
-    return frozenset(i for i, r in enumerate(_strict_readings(space, event)) if r)
-
-
 def strict_split_witness(
     space: FiberedSpace, event: EventSet
 ) -> tuple[EventSet, FiberSet] | None:
@@ -195,6 +215,35 @@ def strict_split_witness(
         else:
             out.append(FiberSlice.trusted((), part.picks[:1]))
     return EventSet(tuple(out)), region
+
+
+def verdict_holds(space: FiberedSpace, report: KernelReport) -> bool:
+    """Test the report's atom verdict against splitting behaviour, with
+    one event either way. A witness atom, picked alone, must be an event
+    of positive mass (its weight) with no strict split, whose exact half
+    split is blocked by that very atom. An atomless verdict needs the
+    interval-only event [0, 1) to carry mass exactly 1 on every fiber,
+    which leaves no point mass anywhere."""
+    w = report.witness
+    if w is None:
+        line = EventSet(tuple(FiberSlice.trusted(((ZERO, ONE),)) for _ in space.fibers))
+        return all(c == 1 for c in space.cond_expectation(line))
+    if not 0 <= w.fiber < space.n_fibers:
+        return False
+    slices = [FiberSlice()] * space.n_fibers
+    slices[w.fiber] = FiberSlice.trusted((), (w.location,))
+    alone = EventSet(tuple(slices))
+    try:
+        if not 0 < space.cond_expectation(alone)[w.fiber] == w.weight:
+            return False
+        if strict_split_witness(space, alone) is not None:
+            return False
+        split(space, alone, (HALF,) * space.n_fibers)
+    except AtomObstruction as e:
+        return (e.fiber, e.location) == (w.fiber, w.location)
+    except InvariantError:
+        return False
+    return False
 
 
 def shrink_sequence(

@@ -5,6 +5,7 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -369,3 +370,68 @@ def test_mutated_scenarios_keep_the_exit_code_contract(tmp_path_factory, body, c
         assert err.getvalue().startswith("condatom: ")
     else:
         assert json.loads(out.getvalue())["command"] == command
+
+
+GOLDEN = Path(__file__).parent / "golden"
+SCENARIOS = sorted(p for p in GOLDEN.glob("*.json") if not p.name.endswith(".expected.json"))
+# the cap of each resource flag on the command that reads it; the other
+# commands accept the flag and ignore it, and get the largest cap
+FLAG_CAPS = {"count": {"shrink": MAX_CHAIN, "uniform": MAX_GRID}, "depth": {"family": MAX_DEPTH}}
+
+
+def _flag_cases():
+    """(command, flag, value) for every scenario command at 0, its cap
+    and one past it, and for selftest at --count 0 and one past
+    MAX_INSTANCES only: its cap is a full 1,000-instance run, and a
+    selftest given --depth without --count runs all 200 instances."""
+    cases = [("selftest", "count", 0), ("selftest", "count", MAX_INSTANCES + 1)]
+    for command in sorted(set(COMMANDS) - {"selftest"}):
+        for flag, caps in FLAG_CAPS.items():
+            cap = caps.get(command, max(caps.values()))
+            cases += [(command, flag, value) for value in (0, cap, cap + 1)]
+    return cases
+
+
+def _contract_main(argv):
+    """main's exit code, or 2 when argparse stops it with SystemExit(2);
+    anything else raised fails the test. A report on stdout must be JSON
+    for the command run, a code of 2 must come with a message."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            assert stop.code == 2
+            return 2
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("condatom: ")
+    else:
+        assert json.loads(out.getvalue())["command"] == argv[0]
+    return code
+
+
+class TestCommandLineContract:
+    """Every command keeps the exit-code contract (0 pass, 1 a check
+    failed, 2 input error) on a bad --scenario path and on --count and
+    --depth at their edges, over the golden scenario corpus."""
+
+    def test_corpus_is_found(self):
+        assert len(SCENARIOS) == 5
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_scenario_at_a_directory_or_a_missing_path(self, tmp_path, command):
+        for path in (tmp_path, tmp_path / "missing.json"):
+            assert _contract_main([command, "--scenario", str(path)]) == 2
+
+    @pytest.mark.parametrize("command,flag,value", _flag_cases())
+    def test_resource_flag_at_its_edges(self, command, flag, value):
+        scenarios = SCENARIOS if command != "selftest" else [None]
+        for path in scenarios:
+            argv = [command, f"--{flag}", str(value)]
+            code = _contract_main(argv + (["--scenario", str(path)] if path else []))
+            cap = FLAG_CAPS[flag].get(command)
+            if value == cap and path.name == "readme-no-atom.json":
+                assert code == 0
+            elif cap is not None and value > cap:
+                assert code == 2

@@ -3,13 +3,12 @@ from fractions import Fraction
 import pytest
 
 from condatom import (
+    AtomObstruction,
     Cell,
     CellPartition,
-    InvariantError,
     MeasureFamily,
     MismatchError,
-    block_level_mass,
-    block_uniform_transform,
+    build_uniform,
     cond_exp_on_partition,
     conditionally_atomless,
     density_partition,
@@ -17,6 +16,7 @@ from condatom import (
     inclusion_mod_null,
     is_conditionally_atomless,
     kernel_atom_scan,
+    level_set,
     mixture,
     null_cells,
     site_witness,
@@ -189,19 +189,19 @@ class TestAtomlessVerdict:
         params = GeneratorParams(max_fibers=3, max_pieces=5, atom_probability=0.0, max_measures=3)
         fam = generate_family(rng, params)
         partition = density_partition(density_vectors(fam))
-        transform = block_uniform_transform(fam, partition)
-        assert transform
-        for spans in transform.values():
-            for k in range(0, 1025, 64):
-                t = F(k, 1024)
-                assert block_level_mass(fam, spans, t) == t
+        space = to_fibered_space(fam, partition)
+        rv = build_uniform(space)
+        assert space.n_fibers
+        for k in range(0, 1025, 64):
+            t = F(k, 1024)
+            assert space.cond_expectation(level_set(rv, t)) == (t,) * space.n_fibers
 
     def test_transform_refuses_positive_sites(self):
         cells = (Cell(0, F(0), F(1)), Cell(0, F(1, 2), F(1, 2)))
         fam = MeasureFamily(cells=cells, masses=((F(1, 2), F(1, 2)),), weights=(F(1),))
         partition = density_partition(density_vectors(fam))
-        with pytest.raises(InvariantError, match="point site"):
-            block_uniform_transform(fam, partition)
+        with pytest.raises(AtomObstruction, match="point mass"):
+            build_uniform(to_fibered_space(fam, partition))
 
 
 class TestRegroupedSpace:

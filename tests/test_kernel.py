@@ -1,11 +1,19 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import condatom.cli
+import condatom.selftest
 from condatom import (
+    AtomObstruction,
+    EventSet,
     Fiber,
     FiberedSpace,
     FiberMeasure,
+    FiberSlice,
+    KernelReport,
     PiecewiseLinear,
     UniformRV,
     build_uniform,
@@ -13,14 +21,33 @@ from condatom import (
     is_conditionally_atomless,
     kernel_atom_scan,
     pushforward_uniformity_check,
+    split,
+    strict_split_witness,
     system_nodes,
 )
+from condatom.cli import main
 from condatom.generate import GeneratorParams, generate_space, rng_for
+from condatom.selftest import FULL_MIXED, kernel_agreement
+from condatom.splitting import verdict_holds
 
 F = Fraction
 
 LEBESGUE = FiberMeasure()
 DOUBLED = FiberMeasure(breakpoints=(0, F(1, 2), 1), densities=(2, 0))
+GOLDEN = Path(__file__).parent / "golden"
+# the README scenario's space: fiber 1 has diffuse mass 1/2 on [0, 1/2)
+# and an atom of weight 1/2 at 3/4
+README_SPACE = FiberedSpace(
+    (
+        Fiber(F(1, 2), LEBESGUE),
+        Fiber(
+            F(1, 2),
+            FiberMeasure(
+                atoms=((F(3, 4), F(1, 2)),), breakpoints=(0, F(1, 2), 1), densities=(1, 0)
+            ),
+        ),
+    )
+)
 
 
 def single(measure):
@@ -53,6 +80,86 @@ class TestAtomScan:
             w = atom_witness(space)
             if w is not None:
                 assert (w.location, w.weight) in report.fiber_atoms[w.fiber]
+
+
+class TestVerdictHolds:
+    """verdict_holds tests a report against splitting behaviour, so it
+    accepts the scan's own verdict and refuses a wrong one."""
+
+    def test_the_scan_holds_both_ways(self):
+        for space in (README_SPACE, single(LEBESGUE), single(DOUBLED)):
+            assert verdict_holds(space, kernel_atom_scan(space))
+
+    def test_an_atomless_claim_fails_where_the_atom_fiber_has_diffuse_mass(self):
+        assert not verdict_holds(README_SPACE, KernelReport(((), ())))
+
+    @pytest.mark.parametrize(
+        "fiber_atoms",
+        [
+            (((F(3, 4), F(1, 2)),), ()),  # the right atom on the wrong fiber
+            ((), ((F(1, 4), F(1, 2)),)),  # the wrong location
+            ((), ((F(3, 4), F(1, 4)),)),  # the wrong weight
+            ((), (), ((F(3, 4), F(1, 2)),)),  # a fiber the space does not have
+        ],
+    )
+    def test_a_misplaced_witness_fails(self, fiber_atoms):
+        assert not verdict_holds(README_SPACE, KernelReport(fiber_atoms))
+
+    def test_a_phantom_atom_on_an_atomless_space_fails(self):
+        assert not verdict_holds(single(LEBESGUE), KernelReport((((F(1, 2), F(1)),),)))
+
+    def test_converse_on_atom_carrying_spaces(self):
+        # the paper's converse: an atom makes a positive event that no
+        # strict sub-event splits, and an exact half split names it
+        rng = rng_for(23, "unit-kernel-converse")
+        seen = 0
+        while seen < 100:
+            space = generate_space(rng, FULL_MIXED)
+            report = kernel_atom_scan(space)
+            w = report.witness
+            if w is None:
+                continue
+            seen += 1
+            assert (w.location, w.weight) == report.fiber_atoms[w.fiber][0]
+            slices = [FiberSlice()] * space.n_fibers
+            slices[w.fiber] = FiberSlice(picks=(w.location,))
+            alone = EventSet(tuple(slices))
+            assert space.cond_expectation(alone)[w.fiber] == w.weight > 0
+            assert strict_split_witness(space, alone) is None
+            with pytest.raises(AtomObstruction) as blocked:
+                split(space, alone, (F(1, 2),) * space.n_fibers)
+            assert (blocked.value.fiber, blocked.value.location) == (w.fiber, w.location)
+            assert verdict_holds(space, report)
+
+
+class TestChecksFailOnAWrongScan:
+    """With the scan replaced by a wrong one, the CLI checks and
+    criterion 4 fail instead of comparing the scan with itself."""
+
+    def test_no_atoms_on_the_readme_scenario(self, monkeypatch, capsys):
+        def scan(space):
+            return KernelReport(tuple(() for _ in space.fibers))
+
+        monkeypatch.setattr(condatom.cli, "kernel_atom_scan", scan)
+        monkeypatch.setattr(condatom.selftest, "kernel_atom_scan", scan)
+        assert main(["check", "--scenario", str(GOLDEN / "readme.json")]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"] == {"kernel-agreement": False}
+        result = kernel_agreement(42, instances=10, sets_per=2)
+        assert not result.passed
+        assert not result.detail.endswith(" 0 violations")
+
+    @pytest.mark.parametrize(
+        "command,key", [("check", "kernel-agreement"), ("kernel", "conditional-agreement")]
+    )
+    def test_a_phantom_atom_on_an_atomless_scenario(self, monkeypatch, capsys, command, key):
+        def scan(space):
+            return KernelReport((((F(1, 2), F(1, 2)),),) + ((),) * (space.n_fibers - 1))
+
+        monkeypatch.setattr(condatom.cli, "kernel_atom_scan", scan)
+        assert main([command, "--scenario", str(GOLDEN / "readme-no-atom.json")]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert (report["verdict"], report["checks"][key]) == ("atom", False)
 
 
 class TestPushforwardResiduals:

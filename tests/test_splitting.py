@@ -15,7 +15,6 @@ from condatom import (
     FiberSlice,
     atom_witness,
     is_conditionally_atomless,
-    maximal_split_region,
     shrink_sequence,
     split,
     strict_split_witness,
@@ -38,6 +37,13 @@ LEBESGUE = FiberMeasure()
 
 def single(measure):
     return FiberedSpace((Fiber(1, measure),))
+
+
+def split_region(space, event):
+    """The fibers on which strict_split_witness splits the event: empty
+    exactly when it returns None."""
+    res = strict_split_witness(space, event)
+    return frozenset() if res is None else res[1]
 
 
 class TestAtomlessVerdict:
@@ -64,7 +70,7 @@ class TestAtomlessVerdict:
             slices[w.fiber] = FiberSlice(picks=(w.location,))
             a = EventSet(tuple(slices))
             assert space.cond_expectation(a)[w.fiber] == w.weight > 0
-            assert maximal_split_region(space, a) == frozenset()
+            assert split_region(space, a) == frozenset()
             assert strict_split_witness(space, a) is None
 
     def test_random_five_fiber_atomless_instance_splits_everywhere(self):
@@ -96,7 +102,7 @@ class TestStrictSplitWitness:
         space = single(m)
         a = EventSet((FiberSlice(picks=(F(1, 2),)),))
         assert strict_split_witness(space, a) is None
-        assert maximal_split_region(space, a) == frozenset()
+        assert split_region(space, a) == frozenset()
 
     def test_empty_event_has_no_witness(self):
         space = single(LEBESGUE)
@@ -123,7 +129,7 @@ class TestStrictSplitWitness:
 
 class TestMaximalSplitRegion:
     def test_empty_event(self):
-        assert maximal_split_region(single(LEBESGUE), single(LEBESGUE).empty_event()) == frozenset()
+        assert split_region(single(LEBESGUE), single(LEBESGUE).empty_event()) == frozenset()
 
     def test_mixed_two_fiber_instance(self):
         atom_only = FiberMeasure(atoms=((F(1, 2), 1),), densities=(0,))
@@ -131,7 +137,7 @@ class TestMaximalSplitRegion:
         a = EventSet(
             (FiberSlice(((0, F(1, 2)),)), FiberSlice(picks=(F(1, 2),)))
         )
-        assert maximal_split_region(space, a) == frozenset({0})
+        assert split_region(space, a) == frozenset({0})
 
     def test_dichotomy_on_atomless_space(self):
         rng = rng_for(11, "unit-dichotomy")
@@ -141,7 +147,7 @@ class TestMaximalSplitRegion:
             a = generate_positive_event(rng, space, every_fiber=False)
             cond = space.cond_expectation(a)
             positive = frozenset(i for i, c in enumerate(cond) if c > 0)
-            assert maximal_split_region(space, a) == positive
+            assert split_region(space, a) == positive
             assert (strict_split_witness(space, a) is None) == (not positive)
 
     def test_region_stays_within_positive_fibers_with_atoms(self):
@@ -152,7 +158,7 @@ class TestMaximalSplitRegion:
             a = generate_positive_event(rng, space, every_fiber=False)
             cond = space.cond_expectation(a)
             positive = frozenset(i for i, c in enumerate(cond) if c > 0)
-            region = maximal_split_region(space, a)
+            region = split_region(space, a)
             assert region <= positive
             assert (strict_split_witness(space, a) is None) == (not region)
 
