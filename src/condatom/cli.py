@@ -269,11 +269,22 @@ COMMANDS = {
     "selftest": _cmd_selftest,
 }
 
+# The flags each command reads; a command given any other refuses it.
+FLAGS_READ = {
+    "shrink": ("count",),
+    "family": ("depth",),
+    "uniform": ("count",),
+    "selftest": ("seed", "count"),
+}
+
 
 def run(command: str, scenario: Scenario | None, **opts) -> dict:
     """Dispatch one command and return the report dictionary."""
     if command not in COMMANDS:
         raise InputError(f"unknown command {command!r}")
+    for flag, value in opts.items():
+        if value is not None and flag not in FLAGS_READ.get(command, ()):
+            raise InputError(f"{command} does not take --{flag}")
     if scenario is None and command != "selftest":
         raise InputError(f"command {command!r} needs --scenario")
     data = COMMANDS[command](scenario, opts)
@@ -296,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--scenario", help="path to a scenario JSON file")
-    p.add_argument("--seed", type=int, help="seed for selftest and generators")
+    p.add_argument("--seed", type=int, help="seed for selftest")
     p.add_argument("--depth", type=int, help="dyadic depth for the family command")
     p.add_argument("--count", type=int, help="instance count / grid size / chain length")
     p.add_argument("--out", help="write the report here instead of stdout")

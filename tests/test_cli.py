@@ -374,21 +374,27 @@ def test_mutated_scenarios_keep_the_exit_code_contract(tmp_path_factory, body, c
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = sorted(p for p in GOLDEN.glob("*.json") if not p.name.endswith(".expected.json"))
-# the cap of each resource flag on the command that reads it; the other
-# commands accept the flag and ignore it, and get the largest cap
-FLAG_CAPS = {"count": {"shrink": MAX_CHAIN, "uniform": MAX_GRID}, "depth": {"family": MAX_DEPTH}}
+# the cap of each resource flag on the commands that read it; every other
+# command refuses the flag with exit 2, and is given it at the largest cap
+FLAG_CAPS = {
+    "count": {"shrink": MAX_CHAIN, "uniform": MAX_GRID, "selftest": MAX_INSTANCES},
+    "depth": {"family": MAX_DEPTH},
+}
 
 
 def _flag_cases():
-    """(command, flag, value) for every scenario command at 0, its cap
-    and one past it, and for selftest at --count 0 and one past
-    MAX_INSTANCES only: its cap is a full 1,000-instance run, and a
-    selftest given --depth without --count runs all 200 instances."""
-    cases = [("selftest", "count", 0), ("selftest", "count", MAX_INSTANCES + 1)]
-    for command in sorted(set(COMMANDS) - {"selftest"}):
+    """(command, flag, value) for every command and resource flag at 0,
+    its cap and one past it, except selftest at its --count cap, which is
+    a full 1,000-instance run."""
+    cases = []
+    for command in sorted(COMMANDS):
         for flag, caps in FLAG_CAPS.items():
             cap = caps.get(command, max(caps.values()))
-            cases += [(command, flag, value) for value in (0, cap, cap + 1)]
+            cases += [
+                (command, flag, value)
+                for value in (0, cap, cap + 1)
+                if (command, flag, value) != ("selftest", "count", MAX_INSTANCES)
+            ]
     return cases
 
 
@@ -414,7 +420,8 @@ def _contract_main(argv):
 class TestCommandLineContract:
     """Every command keeps the exit-code contract (0 pass, 1 a check
     failed, 2 input error) on a bad --scenario path and on --count and
-    --depth at their edges, over the golden scenario corpus."""
+    --depth at their edges, over the golden scenario corpus; a command
+    given a flag it does not read exits 2."""
 
     def test_corpus_is_found(self):
         assert len(SCENARIOS) == 5
@@ -431,7 +438,20 @@ class TestCommandLineContract:
             argv = [command, f"--{flag}", str(value)]
             code = _contract_main(argv + (["--scenario", str(path)] if path else []))
             cap = FLAG_CAPS[flag].get(command)
-            if value == cap and path.name == "readme-no-atom.json":
-                assert code == 0
-            elif cap is not None and value > cap:
+            if cap is None or value > cap:
                 assert code == 2
+            elif value == cap and path is not None and path.name == "readme-no-atom.json":
+                assert code == 0
+
+    @pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"selftest"}))
+    def test_seed_is_refused_by_every_scenario_command(self, command):
+        for path in SCENARIOS:
+            assert _contract_main([command, "--seed", "4", "--scenario", str(path)]) == 2
+
+    def test_an_unread_flag_is_named(self, capsys):
+        readme = str(GOLDEN / "readme.json")
+        argv = ["check", "--depth", "13", "--count", "99999", "--seed", "4", "--scenario", readme]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "condatom: check does not take --seed\n"
+        assert main(["selftest", "--depth", "5"]) == 2
+        assert capsys.readouterr().err == "condatom: selftest does not take --depth\n"
