@@ -85,7 +85,6 @@ def pushforward_uniformity_check(
         raise MismatchError(
             f"variable spans {len(rv.cdfs)} fibers, space has {space.n_fibers}"
         )
-    tests = tuple(tests)
     rows = []
     for fiber, u in zip(space.fibers, rv.cdfs):
         masses, excess = _signed_pushforward(fiber.measure, u)

@@ -201,10 +201,6 @@ class FiberMeasure:
     def atom_locations(self) -> tuple[Fraction, ...]:
         return tuple(loc for loc, _ in self.atoms)
 
-    def pieces(self):
-        for j, d in enumerate(self.densities):
-            yield self.breakpoints[j], self.breakpoints[j + 1], d
-
     @cached_property
     def table(self) -> NodeTable:
         """The cumulative diffuse mass as an integer node table."""

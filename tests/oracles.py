@@ -112,3 +112,34 @@ def leftmost_preimage(xs, ys, t) -> Fraction:
         if y0 < t <= y1:
             return x0 + (t - y0) * (x1 - x0) / (y1 - y0)
     return xs[-1]
+
+
+def pushforward_residuals(space, rv, tests):
+    """Reference pushforward residuals: per fiber and test g, the
+    integral of g(u(y)) against the fiber measure minus the integral of
+    g over [0, 1], u the fiber's CDF in rv.
+
+    Between consecutive points of the fiber's breakpoints, u's nodes and
+    u's leftmost preimages of g's nodes, the density is constant, u is
+    linear and u's image crosses no node of g, so g(u(y)) is linear
+    there and trapezoids against the density are exact; each atom adds
+    its weight times g(u(location))."""
+    rows = []
+    for fiber, u in zip(space.fibers, rv.cdfs):
+        m = fiber.measure
+        row = []
+        for g in tests:
+
+            def gu(y):
+                return interpolate(g.xs, g.ys, interpolate(u.xs, u.ys, y))
+
+            cuts = {leftmost_preimage(u.xs, u.ys, t) for t in g.xs}
+            pts = sorted(set(m.breakpoints) | set(u.xs) | cuts)
+            total = sum((w * gu(loc) for loc, w in m.atoms), Fraction(0))
+            for a, b in zip(pts, pts[1:]):
+                total += density_at(m, a) * (b - a) * (gu(a) + gu(b)) / 2
+            for a, b, ga, gb in zip(g.xs, g.xs[1:], g.ys, g.ys[1:]):
+                total -= (b - a) * (ga + gb) / 2
+            row.append(total)
+        rows.append(tuple(row))
+    return tuple(rows)

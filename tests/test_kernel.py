@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,11 +15,11 @@ from condatom import (
     FiberMeasure,
     FiberSlice,
     KernelReport,
+    MismatchError,
     PiecewiseLinear,
     UniformRV,
     build_uniform,
     hat_family,
-    is_conditionally_atomless,
     kernel_atom_scan,
     pushforward_uniformity_check,
     split,
@@ -29,6 +30,7 @@ from condatom.cli import main
 from condatom.generate import GeneratorParams, generate_space, rng_for
 from condatom.selftest import FULL_MIXED, kernel_agreement
 from condatom.splitting import verdict_holds
+from oracles import pushforward_residuals
 
 F = Fraction
 
@@ -68,19 +70,6 @@ class TestAtomScan:
         assert not report.atomless
         assert report.fiber_atoms == (((F(1, 2), F(1, 2)),),)
 
-    def test_agreement_with_conditional_verdict_on_random_spaces(self):
-        from condatom import atom_witness
-
-        rng = rng_for(3, "unit-kernel")
-        params = GeneratorParams(max_fibers=5, max_pieces=6, atom_probability=0.5)
-        for _ in range(200):
-            space = generate_space(rng, params)
-            report = kernel_atom_scan(space)
-            assert report.atomless == is_conditionally_atomless(space)
-            w = atom_witness(space)
-            if w is not None:
-                assert (w.location, w.weight) in report.fiber_atoms[w.fiber]
-
 
 class TestVerdictHolds:
     """verdict_holds tests a report against splitting behaviour, so it
@@ -104,6 +93,27 @@ class TestVerdictHolds:
     )
     def test_a_misplaced_witness_fails(self, fiber_atoms):
         assert not verdict_holds(README_SPACE, KernelReport(fiber_atoms))
+
+    def test_the_scan_holds_and_a_moved_witness_fails_on_random_spaces(self):
+        rng = rng_for(3, "unit-kernel")
+        params = GeneratorParams(max_fibers=5, max_pieces=6, atom_probability=0.5)
+        moved = 0
+        for _ in range(200):
+            space = generate_space(rng, params)
+            report = kernel_atom_scan(space)
+            assert verdict_holds(space, report)
+            w = report.witness
+            if w is None:
+                continue
+            atoms = report.fiber_atoms[w.fiber]
+            location = (w.location + 1) / 2 if w.location < 1 else w.location / 2
+            while location in dict(atoms):
+                location = (location + w.location) / 2
+            fiber_atoms = list(report.fiber_atoms)
+            fiber_atoms[w.fiber] = ((location, w.weight),) + atoms[1:]
+            assert not verdict_holds(space, KernelReport(tuple(fiber_atoms)))
+            moved += 1
+        assert moved >= 50
 
     def test_a_phantom_atom_on_an_atomless_space_fails(self):
         assert not verdict_holds(single(LEBESGUE), KernelReport((((F(1, 2), F(1)),),)))
@@ -183,6 +193,29 @@ class TestPushforwardResiduals:
         residuals = pushforward_uniformity_check(space, rv, [hat])
         assert residuals == ((F(0),),)
 
+    def test_identity_cdf_on_doubled_density(self):
+        # worked by hand: density 2 on [0, 1/2) pushed by the identity
+        # integrates y to 1/4 against 1/2 under Lebesgue, while the
+        # constant and the hat at 1/2 integrate to 1 and 1/2 either way
+        identity = PiecewiseLinear((F(0), F(1)), (F(0), F(1)))
+        hat = PiecewiseLinear((F(0), F(1, 2), F(1)), (F(0), F(1), F(0)))
+        tests = [PiecewiseLinear.constant(1), identity, hat]
+        residuals = pushforward_uniformity_check(single(DOUBLED), UniformRV((identity,)), tests)
+        assert residuals == ((F(0), F(-1, 4), F(0)),)
+
+    def test_fiber_count_mismatch(self):
+        rv = build_uniform(single(LEBESGUE))
+        two = FiberedSpace((Fiber(F(1, 2), LEBESGUE), Fiber(F(1, 2), DOUBLED)))
+        with pytest.raises(MismatchError, match="variable spans 1 fibers, space has 2"):
+            pushforward_uniformity_check(two, rv, [PiecewiseLinear.constant(1)])
+
+    def test_a_decreasing_cdf_is_refused(self):
+        rv = build_uniform(single(LEBESGUE))
+        down = PiecewiseLinear((F(0), F(1, 2), F(1)), (F(0), F(1, 2), F(1, 4)))
+        object.__setattr__(rv, "cdfs", (down,))  # past UniformRV's own check
+        with pytest.raises(ValueError, match="inner map must be nondecreasing"):
+            pushforward_uniformity_check(single(LEBESGUE), rv, [PiecewiseLinear.constant(1)])
+
     def test_full_hat_family_vanishes_on_atomless_space(self):
         rng = rng_for(5, "unit-hats")
         params = GeneratorParams(max_fibers=3, max_pieces=5, atom_probability=0.0)
@@ -203,6 +236,61 @@ class TestPushforwardResiduals:
         tents = hat_family((F(0), F(1, 4), F(1, 2), F(3, 4), F(1)))
         residuals = pushforward_uniformity_check(space, rv, tents)
         assert any(r != 0 for r in residuals[0])
+
+
+class TestPushforwardAgainstOracle:
+    """Residuals equal tests/oracles.py's reference, which composes each
+    test with the CDF and integrates by trapezoids, on 50 generated spaces
+    per kind: the true CDFs (every residual 0), the true CDFs rotated one
+    fiber on, a CDF with a flat stretch on fiber 0, CDFs scaled to end at
+    3/4, and the diffuse-mass CDFs of atom-carrying measures. The tests
+    are the tents at the system nodes plus two random non-tent functions;
+    every case of a wrong kind has a nonzero residual."""
+
+    FLAT = PiecewiseLinear((F(0), F(1, 3), F(2, 3), F(1)), (F(0), F(1, 2), F(1, 2), F(1)))
+    ATOMLESS = GeneratorParams(max_fibers=3, max_pieces=4, atom_probability=0.0)
+    MIXED = GeneratorParams(max_fibers=3, max_pieces=4, atom_probability=0.7)
+
+    @staticmethod
+    def random_test(rng):
+        inner = {F(rng.randint(1, 15), 16) for _ in range(rng.randint(0, 3))}
+        xs = (F(0), *sorted(inner), F(1))
+        return PiecewiseLinear(xs, tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in xs))
+
+    def cdfs(self, kind, space):
+        """The kind's CDFs for space, or None when space does not fit it."""
+        if kind == "atoms":
+            if kernel_atom_scan(space).atomless:
+                return None
+            return tuple(PiecewiseLinear.of_table(f.measure.table) for f in space.fibers)
+        true = build_uniform(space).cdfs
+        if kind == "true":
+            return true
+        if kind == "rotated":
+            rotated = true[1:] + true[:1]
+            return None if rotated == true else rotated
+        if kind == "flat":
+            return (self.FLAT,) + true[1:]
+        return tuple(PiecewiseLinear(u.xs, tuple(y * F(3, 4) for y in u.ys)) for u in true)
+
+    @pytest.mark.parametrize("kind", ["true", "rotated", "flat", "short", "atoms"])
+    def test_residuals_equal_the_reference(self, kind):
+        grng, rng = rng_for(7, "unit-pushforward-" + kind), random.Random(kind)
+        params = self.MIXED if kind == "atoms" else self.ATOMLESS
+        seen = 0
+        while seen < 50:
+            space = generate_space(grng, params)
+            cdfs = self.cdfs(kind, space)
+            if cdfs is None:
+                continue
+            seen += 1
+            rv = UniformRV(cdfs)
+            tests = hat_family(system_nodes(rv)) + (self.random_test(rng), self.random_test(rng))
+            residuals = pushforward_uniformity_check(space, rv, tests)
+            assert residuals == pushforward_residuals(space, rv, tests)
+            assert all(type(r) is Fraction for row in residuals for r in row)
+            nonzero = any(r != 0 for row in residuals for r in row)
+            assert nonzero == (kind != "true")
 
 
 class TestHatFamily:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from oracles import diffuse_in, leftmost_preimage, staircase_value
+from oracles import density_pieces, diffuse_in, leftmost_preimage, staircase_value
 
 from condatom import (
     AtomObstruction,
@@ -165,7 +165,7 @@ class TestUniformVariable:
         rv = build_uniform(two_fiber_space)
         for i, fiber in enumerate(two_fiber_space.fibers):
             m = fiber.measure
-            for p, q, d in m.pieces():
+            for p, q, d in density_pieces(m):
                 if d == 0:
                     continue  # null stretches are exempt
                 y = (p + q) / 2
