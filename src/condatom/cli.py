@@ -169,12 +169,25 @@ def _cmd_family(scenario: Scenario, opts: dict) -> dict:
     }
 
 
+def _level_masses_are(space, event, p: int, q: int) -> bool:
+    """Whether every slice of event has mass exactly p/q on its fiber: no
+    picks, and its diffuse mass, read off the fiber's node table as an int
+    over one denominator, cross-multiplied against p/q."""
+    for fiber, part in zip(space.fibers, event.slices):
+        if part.picks:
+            return False
+        spans, den = fiber.measure.table.spans(part.intervals)
+        if sum(rise for _, rise in spans) * q != p * den:
+            return False
+    return True
+
+
 def _cmd_uniform(scenario: Scenario, opts: dict) -> dict:
     space = scenario.space
     rv = build_uniform(space)
     grid = _int_input(opts, "count", scenario.params, "count", 64, minimum=1, cap=MAX_GRID)
     exact = all(
-        all(c == Fraction(k, grid) for c in space.cond_expectation(level_set(rv, Fraction(k, grid))))
+        _level_masses_are(space, level_set(rv, Fraction(k, grid)), k, grid)
         for k in range(1, grid + 1)
     )
     return {

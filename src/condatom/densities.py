@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
-from .intervals import ONE, ZERO
+from .intervals import ONE, ZERO, int_keys
 from .space import (
     Fiber,
     FiberedSpace,
@@ -43,7 +44,12 @@ class Cell:
         object.__setattr__(self, "hi", as_fraction(self.hi))
         if self.fiber < 0:
             raise InvariantError(f"cell fiber index {self.fiber} is negative")
-        if not 0 <= self.lo <= self.hi <= 1:
+        lo, hi = self.lo, self.hi
+        if not (
+            0 <= lo.numerator
+            and lo.numerator * hi.denominator <= hi.numerator * lo.denominator
+            and hi.numerator <= hi.denominator
+        ):
             raise InvariantError(f"cell [{self.lo},{self.hi}) outside [0,1] or inverted")
 
     @property
@@ -53,7 +59,9 @@ class Cell:
 
 @dataclass(frozen=True)
 class MeasureFamily:
-    """Measures Q_1..Q_n as per-cell masses, plus mixture weights."""
+    """Measures Q_1..Q_n as per-cell masses, plus mixture weights. The
+    constructor checks the grid, the masses and the weights on ints over
+    common denominators."""
 
     cells: tuple[Cell, ...]
     masses: tuple[tuple[Fraction, ...], ...]
@@ -67,14 +75,19 @@ class MeasureFamily:
         object.__setattr__(self, "weights", tuple(as_fraction(w) for w in self.weights))
         if not self.cells:
             raise InvariantError("a family needs at least one cell")
-        if len(set(self.cells)) != len(self.cells):
+        # the cells' endpoints as ints over their common denominator
+        _, keys = int_keys([x for c in self.cells for x in (c.lo, c.hi)])
+        spans = [(c.fiber, lo, hi) for c, lo, hi in zip(self.cells, keys[::2], keys[1::2])]
+        if len(set(spans)) != len(spans):
             raise InvariantError("duplicate cells in the grid")
-        by_fiber: dict[int, list[Cell]] = {}
-        for c in self.cells:
-            by_fiber.setdefault(c.fiber, []).append(c)
+        by_fiber: dict[int, list[tuple[int, int]]] = {}
+        for i, lo, hi in spans:
+            group = by_fiber.setdefault(i, [])
+            if lo != hi:
+                group.append((lo, hi))
         for i, group in by_fiber.items():
-            spans = sorted((c.lo, c.hi) for c in group if not c.is_site)
-            for (_, h0), (l1, _) in zip(spans, spans[1:]):
+            group.sort()
+            for (_, h0), (l1, _) in zip(group, group[1:]):
                 if l1 < h0:
                     raise InvariantError(f"overlapping cells on fiber {i}")
         if len(self.masses) != len(self.weights):
@@ -88,17 +101,32 @@ class MeasureFamily:
                 raise InvariantError(
                     f"measure {k} covers {len(row)} cells, grid has {len(self.cells)}"
                 )
-            if any(v < 0 for v in row):
+            if any(v.numerator < 0 for v in row):
                 raise InvariantError(f"measure {k} has a negative cell mass")
-            total = sum(row, ZERO)
-            if total != 1:
-                raise InvariantError(f"measure {k} masses sum to {total}, expected 1")
+            den, ints = int_keys(row)
+            if sum(ints) != den:
+                raise InvariantError(
+                    f"measure {k} masses sum to {Fraction(sum(ints), den)}, expected 1"
+                )
         for w in self.weights:
-            if w <= 0:
+            if w.numerator <= 0:
                 raise InvariantError(f"mixture weight {w} must be strictly positive")
-        wtotal = sum(self.weights, ZERO)
-        if wtotal != 1:
-            raise InvariantError(f"mixture weights sum to {wtotal}, expected 1")
+        den, ints = int_keys(self.weights)
+        if sum(ints) != den:
+            raise InvariantError(f"mixture weights sum to {Fraction(sum(ints), den)}, expected 1")
+
+    @cached_property
+    def mixture(self) -> tuple[Fraction, ...]:
+        """Per-cell mass of the weighted mixture, summed as ints over the
+        weights' and the masses' common denominators; totals exactly 1."""
+        lw, weights = int_keys(self.weights)
+        lm, flat = int_keys([v for row in self.masses for v in row])
+        n = self.n_cells
+        rows = [flat[k * n : (k + 1) * n] for k in range(self.n_measures)]
+        den = lw * lm
+        return tuple(
+            Fraction(sum(w * row[c] for w, row in zip(weights, rows)), den) for c in range(n)
+        )
 
     @property
     def n_cells(self) -> int:
@@ -129,11 +157,9 @@ class CellPartition:
 
 
 def mixture(family: MeasureFamily) -> tuple[Fraction, ...]:
-    """Per-cell mass of the weighted mixture; totals exactly 1."""
-    return tuple(
-        sum((w * row[c] for w, row in zip(family.weights, family.masses)), ZERO)
-        for c in range(family.n_cells)
-    )
+    """Per-cell mass of the weighted mixture; totals exactly 1. Computed
+    once per family (MeasureFamily.mixture)."""
+    return family.mixture
 
 
 def density_vectors(family: MeasureFamily) -> tuple[tuple[Fraction, ...], ...]:

@@ -16,6 +16,14 @@ ONE = Fraction(1)
 IntervalList = tuple[tuple[Fraction, Fraction], ...]
 
 
+def int_keys(values) -> tuple[int, list[int]]:
+    """(den, keys): den the lcm of the denominators of the sequence of
+    Fractions values, keys each value as an int over den. Keys order and
+    compare exactly as the values do, and den is the smallest such."""
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
 def canonical(pairs) -> IntervalList:
     """Sort, drop empty pairs, and merge overlapping or touching intervals."""
     items = sorted((a, b) for a, b in pairs if a < b)
@@ -43,11 +51,10 @@ def sweep(a: IntervalList, b: IntervalList, keep) -> IntervalList:
         return a if a and keep(1, 0) else ()
     if not a:
         return b if keep(0, 1) else ()
-    den = lcm(*(x.denominator for ivs in (a, b) for iv in ivs for x in iv))
     xa = [x for iv in a for x in iv]
     xb = [x for iv in b for x in iv]
-    ka = [x.numerator * (den // x.denominator) for x in xa]
-    kb = [x.numerator * (den // x.denominator) for x in xb]
+    _, keys = int_keys(xa + xb)
+    ka, kb = keys[: len(xa)], keys[len(xa) :]
     stop = max(ka[-1], kb[-1]) + 1
     ka.append(stop)
     kb.append(stop)

@@ -27,6 +27,7 @@ from .intervals import (
     IntervalList,
     canonical,
     difference,
+    int_keys,
     intersect,
     is_subset,
     union,
@@ -70,10 +71,9 @@ class NodeTable:
 
     def __init__(self, xs, ys):
         self.xs, self.ys = xs, ys
-        self.lx = lcm(*(x.denominator for x in xs))
-        self.ly = lcm(*(y.denominator for y in ys))
-        X = self.X = [x.numerator * (self.lx // x.denominator) for x in xs]
-        Y = self.Y = [y.numerator * (self.ly // y.denominator) for y in ys]
+        self.lx, self.X = int_keys(xs)
+        self.ly, self.Y = int_keys(ys)
+        X, Y = self.X, self.Y
         widths = [b - a for a, b in zip(X, X[1:])]
         W = self.W = lcm(*widths)
         self.S = [(b - a) * (W // w) for a, b, w in zip(Y, Y[1:], widths)]
@@ -141,7 +141,9 @@ class FiberMeasure:
     atoms are (location, weight) pairs with strictly increasing
     locations; densities[j] is the constant density on
     [breakpoints[j], breakpoints[j+1]). Atom weights plus the density
-    integral must sum to exactly 1.
+    integral must sum to exactly 1. diffuse_cumulative[j] is the diffuse
+    mass of [0, breakpoints[j]). The constructor checks every invariant,
+    and sums the cumulative mass, on ints over common denominators.
     """
 
     atoms: tuple[tuple[Fraction, Fraction], ...] = ()
@@ -149,45 +151,46 @@ class FiberMeasure:
     densities: tuple[Fraction, ...] = (ONE,)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "atoms", tuple((as_fraction(l), as_fraction(w)) for l, w in self.atoms)
-        )
-        object.__setattr__(self, "breakpoints", tuple(as_fraction(x) for x in self.breakpoints))
-        object.__setattr__(self, "densities", tuple(as_fraction(d) for d in self.densities))
-        bps = self.breakpoints
-        if len(bps) < 2 or bps[0] != 0 or bps[-1] != 1:
+        atoms = tuple((as_fraction(l), as_fraction(w)) for l, w in self.atoms)
+        bps = tuple(map(as_fraction, self.breakpoints))
+        densities = tuple(map(as_fraction, self.densities))
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "densities", densities)
+        lx, X = int_keys(bps)
+        if len(X) < 2 or X[0] != 0 or X[-1] != lx:
             raise InvariantError("breakpoints must run from 0 to 1")
-        if any(a >= b for a, b in zip(bps, bps[1:])):
+        if any(a >= b for a, b in zip(X, X[1:])):
             raise InvariantError("breakpoints must be strictly increasing")
-        if len(self.densities) != len(bps) - 1:
+        if len(densities) != len(bps) - 1:
             raise InvariantError(
                 f"expected {len(bps) - 1} densities for {len(bps)} breakpoints, "
-                f"got {len(self.densities)}"
+                f"got {len(densities)}"
             )
-        if any(d < 0 for d in self.densities):
+        if any(d.numerator < 0 for d in densities):
             raise InvariantError("densities must be nonnegative")
-        for loc, w in self.atoms:
-            if not 0 <= loc <= 1:
+        for loc, w in atoms:
+            if not 0 <= loc.numerator <= loc.denominator:
                 raise InvariantError(f"atom location {loc} outside [0,1]")
-            if w <= 0:
+            if w.numerator <= 0:
                 raise InvariantError(f"atom weight {w} must be positive")
-        if any(a >= b for (a, _), (b, _) in zip(self.atoms, self.atoms[1:])):
+        if any(
+            a.numerator * b.denominator >= b.numerator * a.denominator
+            for (a, _), (b, _) in zip(atoms, atoms[1:])
+        ):
             raise InvariantError("atom locations must be strictly increasing")
-        total = self.atom_mass + self.diffuse_total
-        if total != 1:
-            raise InvariantError(f"fiber mass sums to {total}, expected 1")
-
-    @cached_property
-    def atom_mass(self) -> Fraction:
-        return sum((w for _, w in self.atoms), ZERO)
-
-    @cached_property
-    def diffuse_cumulative(self) -> tuple[Fraction, ...]:
-        """Diffuse mass of [0, x_j) at every breakpoint x_j."""
-        out = [ZERO]
-        for j, d in enumerate(self.densities):
-            out.append(out[-1] + d * (self.breakpoints[j + 1] - self.breakpoints[j]))
-        return tuple(out)
+        # the cumulative diffuse mass as ints over den = dd*lx, dd the lcm
+        # of the density denominators, and the atom weights over la
+        dd, dens = int_keys(densities)
+        cum = [0]
+        for d, a, b in zip(dens, X, X[1:]):
+            cum.append(cum[-1] + d * (b - a))
+        den = dd * lx
+        la, weights = int_keys([w for _, w in atoms])
+        total = sum(weights) * den + cum[-1] * la
+        if total != la * den:
+            raise InvariantError(f"fiber mass sums to {Fraction(total, la * den)}, expected 1")
+        object.__setattr__(self, "diffuse_cumulative", tuple(Fraction(c, den) for c in cum))
 
     @property
     def diffuse_total(self) -> Fraction:
@@ -257,7 +260,9 @@ class FiberSlice:
 
     The interval part carries diffuse mass only: a point mass belongs to
     an event only through an explicit pick, so an atom location sitting
-    inside an interval but not picked contributes nothing.
+    inside an interval but not picked contributes nothing. The
+    constructor checks order and range by cross-multiplying, and keeps
+    intervals and picks that are already canonical and sorted as given.
     """
 
     intervals: IntervalList = ()
@@ -265,16 +270,27 @@ class FiberSlice:
 
     def __post_init__(self):
         raw = tuple((as_fraction(a), as_fraction(b)) for a, b in self.intervals)
+        ordered = True  # sorted with gaps between, as canonical leaves them
+        prev = None
         for a, b in raw:
-            if a >= b:
+            an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+            if an * bd >= bn * ad:
                 raise InvariantError(f"interval [{a},{b}) is empty or inverted")
-            if a < 0 or b > 1:
+            if an < 0 or bn > bd:
                 raise InvariantError(f"interval [{a},{b}) outside [0,1]")
-        picks = tuple(sorted({as_fraction(p) for p in self.picks}))
+            if ordered and prev is not None and an * prev.denominator <= prev.numerator * ad:
+                ordered = False
+            prev = b
+        picks = tuple(map(as_fraction, self.picks))
+        if any(
+            p.numerator * q.denominator >= q.numerator * p.denominator
+            for p, q in zip(picks, picks[1:])
+        ):
+            picks = tuple(sorted(set(picks)))
         for p in picks:
-            if not 0 <= p <= 1:
+            if not 0 <= p.numerator <= p.denominator:
                 raise InvariantError(f"pick {p} outside [0,1]")
-        object.__setattr__(self, "intervals", canonical(raw))
+        object.__setattr__(self, "intervals", raw if ordered else canonical(raw))
         object.__setattr__(self, "picks", picks)
 
     @classmethod

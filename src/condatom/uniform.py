@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intervals import ONE, ZERO, intersect
+from .intervals import ONE, ZERO, int_keys
 from .piecewise import PiecewiseLinear
 from .space import (
     EventSet,
@@ -154,20 +154,32 @@ def intersection_mass_curves(space: FiberedSpace, event: EventSet) -> tuple[Piec
     Nodes are the CDF values at the fiber's breakpoints and at the event
     slice's endpoints; between consecutive nodes the mass grows linearly
     (at unit rate inside the slice, flat outside), so interpolation is
-    exact. Requires an atomless space.
+    exact. One walk per fiber over those points, as ints over one
+    denominator, reads the CDF at each and adds its rise across every
+    stretch inside the slice. Requires an atomless space.
     """
     _require_atomless(space)
     space.validate_event(event)
     curves = []
     for fiber, part in zip(space.fibers, event.slices):
-        m = fiber.measure
-        ys = sorted(set(m.breakpoints) | {e for iv in part.intervals for e in iv})
-        pts = []
-        for y in ys:
-            t = m.table.forward(y)
-            v = m.diffuse_mass(intersect(part.intervals, ((ZERO, y),))) if y > 0 else ZERO
-            pts.append((t, v))
-        curves.append(PiecewiseLinear.from_graph(pts))
+        table = fiber.measure.table
+        ends = [e for iv in part.intervals for e in iv]
+        q, keys = int_keys(sorted(set(table.xs).union(ends)))
+        end_keys = [e.numerator * (q // e.denominator) for e in ends]
+        den = table.unit * q
+        ts, vs = [], []
+        t_prev = v = k = 0
+        for key in keys:
+            t = table.reading(key, q)
+            if k & 1:  # the stretch just walked lies inside the slice
+                v += t - t_prev
+            if k < len(end_keys) and end_keys[k] == key:
+                k += 1
+            if not ts or t != t_prev:
+                ts.append(Fraction(t, den))
+                vs.append(Fraction(v, den))
+            t_prev = t
+        curves.append(PiecewiseLinear(tuple(ts), tuple(vs)))
     return tuple(curves)
 
 

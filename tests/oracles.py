@@ -143,3 +143,132 @@ def pushforward_residuals(space, rv, tests):
             row.append(total)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def cumulative_diffuse(breakpoints, densities) -> tuple:
+    """Diffuse mass of [0, x) at every breakpoint x, summed on Fractions."""
+    out = [Fraction(0)]
+    for d, a, b in zip(densities, breakpoints, breakpoints[1:]):
+        out.append(out[-1] + d * (b - a))
+    return tuple(out)
+
+
+def fiber_measure_violation(atoms, breakpoints, densities):
+    """Reference check of a fiber measure's Fraction fields, in the order
+    the constructor checks them: the message of the first invariant
+    violated, or None when all hold."""
+    bps = breakpoints
+    if len(bps) < 2 or bps[0] != 0 or bps[-1] != 1:
+        return "breakpoints must run from 0 to 1"
+    if any(a >= b for a, b in zip(bps, bps[1:])):
+        return "breakpoints must be strictly increasing"
+    if len(densities) != len(bps) - 1:
+        return f"expected {len(bps) - 1} densities for {len(bps)} breakpoints, got {len(densities)}"
+    if any(d < 0 for d in densities):
+        return "densities must be nonnegative"
+    for loc, w in atoms:
+        if not 0 <= loc <= 1:
+            return f"atom location {loc} outside [0,1]"
+        if w <= 0:
+            return f"atom weight {w} must be positive"
+    if any(a >= b for (a, _), (b, _) in zip(atoms, atoms[1:])):
+        return "atom locations must be strictly increasing"
+    total = sum((w for _, w in atoms), Fraction(0)) + cumulative_diffuse(bps, densities)[-1]
+    if total != 1:
+        return f"fiber mass sums to {total}, expected 1"
+    return None
+
+
+def merged_intervals(pairs) -> tuple:
+    """Sorted, with overlapping or touching intervals merged."""
+    out = []
+    for lo, hi in sorted(pairs):
+        if out and lo <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], hi)
+        else:
+            out.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in out)
+
+
+def fiber_slice_violation(intervals, picks):
+    """Reference check of a fiber slice's intervals and picks: the message
+    of the first invariant violated, or None when all hold. Picks are
+    checked in increasing order."""
+    for a, b in intervals:
+        if a >= b:
+            return f"interval [{a},{b}) is empty or inverted"
+        if a < 0 or b > 1:
+            return f"interval [{a},{b}) outside [0,1]"
+    for p in sorted(set(picks)):
+        if not 0 <= p <= 1:
+            return f"pick {p} outside [0,1]"
+    return None
+
+
+def cell_violation(fiber, lo, hi):
+    """Reference check of one grid cell."""
+    if fiber < 0:
+        return f"cell fiber index {fiber} is negative"
+    if not 0 <= lo <= hi <= 1:
+        return f"cell [{lo},{hi}) outside [0,1] or inverted"
+    return None
+
+
+def measure_family_violation(cells, masses, weights):
+    """Reference check of a measure family whose cells, each a valid
+    (fiber, lo, hi) triple, carry the given mass rows and mixture
+    weights: the message of the first invariant violated, or None."""
+    if not cells:
+        return "a family needs at least one cell"
+    if len(set(cells)) != len(cells):
+        return "duplicate cells in the grid"
+    fibers = []
+    for fiber, _, _ in cells:
+        if fiber not in fibers:
+            fibers.append(fiber)
+    for i in fibers:
+        spans = sorted((lo, hi) for fiber, lo, hi in cells if fiber == i and lo != hi)
+        if any(l1 < h0 for (_, h0), (l1, _) in zip(spans, spans[1:])):
+            return f"overlapping cells on fiber {i}"
+    if len(masses) != len(weights):
+        return f"{len(masses)} measures but {len(weights)} weights"
+    if not masses:
+        return "a family needs at least one measure"
+    for k, row in enumerate(masses):
+        if len(row) != len(cells):
+            return f"measure {k} covers {len(row)} cells, grid has {len(cells)}"
+        if any(v < 0 for v in row):
+            return f"measure {k} has a negative cell mass"
+        total = sum(row, Fraction(0))
+        if total != 1:
+            return f"measure {k} masses sum to {total}, expected 1"
+    for w in weights:
+        if w <= 0:
+            return f"mixture weight {w} must be strictly positive"
+    total = sum(weights, Fraction(0))
+    if total != 1:
+        return f"mixture weights sum to {total}, expected 1"
+    return None
+
+
+def mixture_masses(masses, weights) -> tuple:
+    """Per cell, the weighted sum of the measures' masses."""
+    return tuple(
+        sum((w * row[c] for w, row in zip(weights, masses)), Fraction(0))
+        for c in range(len(masses[0]))
+    )
+
+
+def intersection_mass_nodes(measure, intervals):
+    """Reference nodes (ts, vs) of the map t -> diffuse mass of the
+    intervals inside the level set {u < t}, u the fiber's CDF: at every
+    breakpoint and interval endpoint y, t = diffuse mass of [0, y) and
+    v = diffuse mass of the intervals below y, keeping the first of
+    equal ts."""
+    ts, vs = [], []
+    for y in sorted(set(measure.breakpoints) | {e for iv in intervals for e in iv}):
+        t = diffuse_in(measure, [(Fraction(0), y)])
+        if not ts or t != ts[-1]:
+            ts.append(t)
+            vs.append(diffuse_in(measure, [(lo, min(hi, y)) for lo, hi in intervals]))
+    return tuple(ts), tuple(vs)

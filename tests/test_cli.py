@@ -5,12 +5,15 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import condatom.cli
+from condatom import EventSet, FiberSlice
 from condatom.cli import (
     COMMANDS,
     MAX_CHAIN,
@@ -23,6 +26,8 @@ from condatom.cli import (
 )
 from condatom.generate import generate_scenario
 from condatom.scenario import parse_scenario, serialize_scenario
+
+F = Fraction
 
 LEBESGUE_SCENARIO = json.dumps(
     {
@@ -95,6 +100,24 @@ class TestRunDispatch:
         uni = run("uniform", sc, count=16)
         assert uni["checks"]["level-masses-exact"] is True
 
+    @pytest.mark.parametrize("shift", ["half", "pick"])
+    def test_uniform_measures_every_level_set(self, monkeypatch, shift):
+        """The grid check measures what level_set returns: level sets of
+        half the mass, or carrying a pick, fail it."""
+        sc = parse_scenario(LEBESGUE_SCENARIO)
+        true_level_set = condatom.cli.level_set
+
+        def wrong(rv, t):
+            if shift == "half":
+                return true_level_set(rv, t / 2)
+            event = true_level_set(rv, t)
+            return EventSet(tuple(FiberSlice(s.intervals, (F(1, 2),)) for s in event.slices))
+
+        monkeypatch.setattr(condatom.cli, "level_set", wrong)
+        data = run("uniform", sc, count=4)
+        assert data["checks"]["level-masses-exact"] is False
+        assert data["status"] == "fail"
+
     def test_densities_requires_measures(self):
         from condatom.cli import InputError
 
@@ -162,6 +185,22 @@ class TestCommandLine:
         assert main(["check", "--scenario", str(scenario_file), "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert out.read_text(encoding="utf-8") == printed
+
+    def test_unreadable_scenario_is_input_error(self, scenario_file, monkeypatch, capsys):
+        """A scenario the process may not read exits 2 with a message.
+        Permission bits do not stop root, so the open itself is made to
+        fail."""
+
+        def denied(path, *args, **kwargs):
+            if path == str(scenario_file):
+                raise PermissionError(13, "Permission denied", path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(condatom.cli, "open", denied, raising=False)
+        assert main(["check", "--scenario", str(scenario_file)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"condatom: [Errno 13] Permission denied: '{scenario_file}'\n"
 
     def test_selftest_reports_are_byte_identical(self, tmp_path):
         runs = []

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from oracles import mixture_masses
 
 from condatom import (
     AtomObstruction,
@@ -56,6 +57,14 @@ class TestMixture:
 
     def test_worked_example(self, lebesgue_vs_doubled):
         assert mixture(lebesgue_vs_doubled) == (F(3, 4), F(1, 4))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_computed_once_per_family_and_exact(self, seed):
+        fam = generate_family(rng_for(seed, "mixture"), GeneratorParams(max_measures=4))
+        assert mixture(fam) is mixture(fam)
+        assert mixture(fam) == mixture_masses(fam.masses, fam.weights)
+        reweighted = fam.with_weights(reversed(fam.weights))
+        assert mixture(reweighted) == mixture_masses(reweighted.masses, reweighted.weights)
 
 
 class TestDensityVectors:

@@ -1,7 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from oracles import density_pieces, diffuse_in, leftmost_preimage, staircase_value
+from oracles import (
+    density_pieces,
+    diffuse_in,
+    intersection_mass_nodes,
+    leftmost_preimage,
+    staircase_value,
+)
 
 from condatom import (
     AtomObstruction,
@@ -21,7 +27,7 @@ from condatom import (
     set_at_level,
     split,
 )
-from condatom.generate import generate_space, rng_for
+from condatom.generate import generate_event, generate_space, rng_for
 from condatom.selftest import FULL_ATOMLESS, _halving_family
 
 F = Fraction
@@ -234,6 +240,20 @@ class TestMassCurves:
             values = [curve.at(t) for t in grid]
             for (s, gs), (t, gt) in zip(zip(grid, values), zip(grid[1:], values[1:])):
                 assert 0 <= gt - gs <= t - s
+
+
+    @pytest.mark.parametrize("index", range(40))
+    def test_nodes_match_the_oracle_on_generated_spaces(self, index):
+        """The one walk per fiber gives the nodes of the plain-Fraction
+        reference: the CDF and the slice's mass below every breakpoint and
+        endpoint, flat stretches of the CDF collapsed."""
+        rng = rng_for(index, "mass-curves")
+        space = generate_space(rng, FULL_ATOMLESS)
+        event = generate_event(rng, space)
+        curves = intersection_mass_curves(space, event)
+        for fiber, part, curve in zip(space.fibers, event.slices, curves):
+            ts, vs = intersection_mass_nodes(fiber.measure, part.intervals)
+            assert (curve.xs, curve.ys) == (ts, vs)
 
 
 class TestOneTablePerFiber:
