@@ -230,3 +230,6 @@ class TestCellAndMeasureFamily:
             )
             assert message is not None
             rejects_with(lambda: MeasureFamily(cell_list, masses, weights), message)
+        # a point site inside an interval cell overlaps nothing
+        with_site = MeasureFamily((Cell(0, 0, 1), Cell(0, half, half)), ((half, half),), (1,))
+        assert mixture(with_site) == (half, half)
