@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 
@@ -30,6 +29,7 @@ from .scenario import (
     event_to_json,
     format_scalar,
     parse_scenario,
+    report_to_text,
 )
 from .selftest import report_data, run_all
 from .space import InvariantError, MismatchError
@@ -171,13 +171,13 @@ def _cmd_family(scenario: Scenario, opts: dict) -> dict:
 
 def _level_masses_are(space, event, p: int, q: int) -> bool:
     """Whether every slice of event has mass exactly p/q on its fiber: no
-    picks, and its diffuse mass, read off the fiber's node table as an int
+    picks, and its diffuse mass, read off the fiber's table as an int
     over one denominator, cross-multiplied against p/q."""
     for fiber, part in zip(space.fibers, event.slices):
         if part.picks:
             return False
-        spans, den = fiber.measure.table.spans(part.intervals)
-        if sum(rise for _, rise in spans) * q != p * den:
+        _, mass, den = fiber.measure.table.spans(part.intervals)
+        if mass * q != p * den:
             return False
     return True
 
@@ -304,10 +304,6 @@ def run(command: str, scenario: Scenario | None, **opts) -> dict:
     data["command"] = command
     data["status"] = "pass" if all(data.get("checks", {}).values()) else "fail"
     return data
-
-
-def report_to_text(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 @functools.cache

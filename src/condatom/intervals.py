@@ -3,6 +3,8 @@
 A list is a tuple of (lo, hi) pairs with lo < hi, sorted, pairwise
 disjoint, and with touching intervals merged. Boolean operations merge
 the two lists' endpoints, so every result is again canonical and exact.
+The package's exactness guards, InvariantError and as_fraction (which
+refuses floats), live here too, because this module imports no other.
 """
 
 from __future__ import annotations
@@ -14,6 +16,19 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 IntervalList = tuple[tuple[Fraction, Fraction], ...]
+
+
+class InvariantError(ValueError):
+    """A structural invariant does not hold; the message names it."""
+
+
+def as_fraction(value) -> Fraction:
+    """Coerce to Fraction, refusing floats so exactness cannot leak away."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float):
+        raise InvariantError(f"floating point value {value!r} is not exact")
+    return Fraction(value)
 
 
 def int_keys(values) -> tuple[int, list[int]]:

@@ -39,7 +39,7 @@ def _signed_pushforward(measure: FiberMeasure, u: PiecewiseLinear):
     UniformRV checks."""
     if not u.nondecreasing:
         raise ValueError("inner map must be nondecreasing")
-    M, U = measure.table.forward, u.table.forward
+    M, U = measure.table.forward, u.forward
     masses = [(U(loc), w) for loc, w in measure.atoms]
     excess = []
     xs = sorted(set(measure.breakpoints).union(u.xs))

@@ -281,6 +281,12 @@ def scenario_to_json(sc: Scenario) -> dict:
     return out
 
 
+def report_to_text(data: dict) -> str:
+    """The one JSON text format of reports and scenario files: sorted
+    keys, two-space indent and a closing newline."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
 def serialize_scenario(sc: Scenario) -> str:
     """Canonical text form; parse(serialize(sc)) == sc."""
-    return json.dumps(scenario_to_json(sc), sort_keys=True, indent=2) + "\n"
+    return report_to_text(scenario_to_json(sc))

@@ -7,7 +7,6 @@ default counts reproduce the full acceptance configuration.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +32,7 @@ from .generate import (
 )
 from .intervals import ONE, ZERO
 from .kernel import hat_family, kernel_atom_scan, pushforward_uniformity_check, system_nodes
-from .scenario import parse_scenario, serialize_scenario
+from .scenario import parse_scenario, report_to_text, serialize_scenario
 from .splitting import (
     HALF,
     shrink_sequence,
@@ -342,8 +341,8 @@ def determinism(seed, scenarios: int = 50) -> CriterionResult:
     """Reduced selftests emit byte-identical reports on repeated runs, and
     serialize/parse is the identity on generated scenarios."""
     bad = 0
-    first = report_text(run_all(seed, count=4, include_cli=False), seed=seed, count=4)
-    second = report_text(run_all(seed, count=4, include_cli=False), seed=seed, count=4)
+    first = report_to_text(report_data(run_all(seed, count=4, include_cli=False), seed, 4))
+    second = report_to_text(report_data(run_all(seed, count=4, include_cli=False), seed, 4))
     if first != second:
         bad += 1
     rng = rng_for(seed, "round-trip")
@@ -395,6 +394,3 @@ def report_data(results, seed, count) -> dict:
         "status": "pass" if all(r.passed for r in results) else "fail",
     }
 
-
-def report_text(results, seed, count) -> str:
-    return json.dumps(report_data(results, seed, count), sort_keys=True, indent=2) + "\n"

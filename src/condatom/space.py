@@ -6,25 +6,27 @@ its own probability measure on [0, 1] made of point masses plus a
 piecewise-constant density. Events are per-fiber interval lists together
 with explicit atom picks. All masses are Fractions and every operation
 is exact; nothing in this package rounds. Prefix masses, interval
-masses and quantiles are read off each fiber's NodeTable, its cumulative
-diffuse mass held as ints over a common denominator; a slice's masses
-are summed as ints over one denominator, and each public result is one
-Fraction.
+masses and quantiles are read off each fiber's table, its cumulative
+diffuse mass as a PiecewiseLinear, whose integer image holds the nodes
+as ints over common denominators; a slice's masses are summed as ints
+over one denominator, and each public result is one Fraction.
+InvariantError and as_fraction live in intervals and are re-exported
+here.
 """
 
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .intervals import (
     ONE,
     ZERO,
     IntervalList,
+    InvariantError,
+    as_fraction,
     canonical,
     difference,
     int_keys,
@@ -32,106 +34,13 @@ from .intervals import (
     is_subset,
     union,
 )
+from .piecewise import PiecewiseLinear
 
 FiberFunction = tuple[Fraction, ...]
 
 
-class InvariantError(ValueError):
-    """A structural invariant does not hold; the message names it."""
-
-
 class MismatchError(ValueError):
     """Operands belong to structurally different spaces or grids."""
-
-
-def as_fraction(value) -> Fraction:
-    """Coerce to Fraction, refusing floats so exactness cannot leak away."""
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, float):
-        raise InvariantError(f"floating point value {value!r} is not exact")
-    return Fraction(value)
-
-
-class NodeTable:
-    """Integer image of the piecewise-linear graph through the nodes
-    (xs, ys), xs strictly increasing: every x as an int over lx, the lcm
-    of the x denominators, every y as an int over ly, and the slope of
-    every piece as an int S[j] over ly*W, where W is the lcm of the piece
-    widths X[j+1] - X[j].
-
-    reading and preimage bisect those ints instead of comparing
-    Fractions, and take and give ints; forward and inverse wrap them for
-    Fraction arguments and results. Both are exact: for x = p/q,
-    x >= xs[j] holds exactly when p*lx // q >= X[j], and for t = p/q,
-    t <= ys[k] exactly when ceil(p*ly / q) <= Y[k].
-    """
-
-    __slots__ = ("xs", "ys", "lx", "ly", "X", "Y", "W", "S", "unit")
-
-    def __init__(self, xs, ys):
-        self.xs, self.ys = xs, ys
-        self.lx, self.X = int_keys(xs)
-        self.ly, self.Y = int_keys(ys)
-        X, Y = self.X, self.Y
-        widths = [b - a for a, b in zip(X, X[1:])]
-        W = self.W = lcm(*widths)
-        self.S = [(b - a) * (W // w) for a, b, w in zip(Y, Y[1:], widths)]
-        self.unit = self.ly * W
-
-    def reading(self, p: int, q: int) -> int:
-        """The graph's value at p/q, q > 0, as an int over unit*q (unit =
-        ly*W); p/q outside [xs[0], xs[-1]] clamps to the end values."""
-        X = self.X
-        j = bisect_right(X, p * self.lx // q) - 1
-        if j < 0:
-            return self.Y[0] * self.W * q
-        if j == len(X) - 1:
-            return self.Y[-1] * self.W * q
-        return self.Y[j] * self.W * q + self.S[j] * (p * self.lx - X[j] * q)
-
-    def forward(self, x) -> Fraction:
-        """The graph's value at x, clamped like reading."""
-        q = x.denominator
-        return Fraction(self.reading(x.numerator, q), self.unit * q)
-
-    def spans(self, intervals) -> tuple[list[tuple[int, int]], int]:
-        """The graph over each [lo, hi) of intervals, as ints over one
-        common denominator den: the value at lo and the rise from lo to
-        hi. den is unit times the lcm of the endpoint denominators, so
-        it grows with the endpoints' lcm, not their product. Returns
-        (pairs, den)."""
-        q = lcm(*(x.denominator for pair in intervals for x in pair))
-        at = self.reading
-        out = []
-        for lo, hi in intervals:
-            base = at(lo.numerator * (q // lo.denominator), q)
-            out.append((base, at(hi.numerator * (q // hi.denominator), q) - base))
-        return out, self.unit * q
-
-    def preimage(self, p: int, q: int) -> Fraction:
-        """The leftmost x at which the graph, whose ys must be
-        nondecreasing, reaches t = p/q, q > 0. The piece holding it is
-        the first whose right-end value reaches t; its left-end value is
-        below t, so it rises and x never lands inside a flat stretch. t
-        at or below ys[0] gives xs[0], and t above ys[-1] clamps to
-        xs[-1]."""
-        Y = self.Y
-        k = bisect_left(Y, -(-p * self.ly // q))
-        if k == 0:
-            return self.xs[0]
-        if k == len(Y):
-            return self.xs[-1]
-        r = p * self.ly - Y[k - 1] * q  # (t - ys[k-1]) * ly * q
-        dy = Y[k] - Y[k - 1]
-        if r == dy * q:
-            return self.xs[k]
-        dx = self.X[k] - self.X[k - 1]
-        return Fraction(self.X[k - 1] * q * dy + dx * r, self.lx * q * dy)
-
-    def inverse(self, t) -> Fraction:
-        """preimage at the Fraction t."""
-        return self.preimage(t.numerator, t.denominator)
 
 
 @dataclass(frozen=True)
@@ -205,9 +114,10 @@ class FiberMeasure:
         return tuple(loc for loc, _ in self.atoms)
 
     @cached_property
-    def table(self) -> NodeTable:
-        """The cumulative diffuse mass as an integer node table."""
-        return NodeTable(self.breakpoints, self.diffuse_cumulative)
+    def table(self) -> PiecewiseLinear:
+        """The cumulative diffuse mass, y -> mass of [0, y), as a
+        piecewise-linear graph through the breakpoints."""
+        return PiecewiseLinear.trusted(self.breakpoints, self.diffuse_cumulative)
 
     def prefix_diffuse(self, x) -> Fraction:
         """Diffuse mass of [0, x)."""
@@ -216,7 +126,8 @@ class FiberMeasure:
     def quantiles(self, levels) -> tuple[Fraction, ...]:
         """For each t of the nondecreasing levels, each in (0, diffuse_total],
         the leftmost y with diffuse mass of [0, y) exactly t. Range and
-        order are checked on the table's ints by cross-multiplication."""
+        order are checked on the table's integer image by
+        cross-multiplication."""
         table = self.table
         Y, ly = table.Y, table.ly
         out = []
@@ -233,12 +144,12 @@ class FiberMeasure:
         return tuple(out)
 
     def diffuse_mass(self, intervals: IntervalList) -> Fraction:
-        """Diffuse mass of the intervals: their rises on the node table,
-        summed as ints over one denominator."""
-        spans, den = self.table.spans(
+        """Diffuse mass of the intervals: the total of their rises on the
+        table, an int over one denominator."""
+        _, total, den = self.table.spans(
             [(as_fraction(lo), as_fraction(hi)) for lo, hi in intervals]
         )
-        return Fraction(sum(rise for _, rise in spans), den)
+        return Fraction(total, den)
 
     def pick_mass(self, picks) -> Fraction:
         total = ZERO

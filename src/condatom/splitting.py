@@ -3,12 +3,13 @@
 The workhorse is split(): given an event C and per-fiber coefficients h
 in [0, 1], it returns B inside C whose per-fiber mass is exactly h times
 that of C. The construction is a deterministic left fill read off the
-fiber's cumulative node table (FiberMeasure.table): one prefix pass
-gives each of C's intervals its diffuse mass, and the first interval to
-reach the target is cut at the table's preimage, the fiber's inverse
-CDF, of the mass still missing. The pass reads every mass as an int over
-one denominator per slice, the target and its comparisons are made by
-cross-multiplying ints, and the only Fraction built is the cut.
+fiber's cumulative diffuse mass (FiberMeasure.table, a PiecewiseLinear):
+one spans pass gives each of C's intervals its diffuse mass and the
+slice its total, and the first interval to reach the target is cut at
+the table's preimage, the fiber's inverse CDF, of the mass still
+missing. The pass reads every mass as an int over one denominator per
+slice, the target and its comparisons are made by cross-multiplying
+ints, and the only Fraction built is the cut.
 Point masses can never be cut, so a strict interior target is reachable
 only through diffuse mass; when picked atoms make it unreachable the
 split raises AtomObstruction instead of approximating.
@@ -101,20 +102,12 @@ def is_conditionally_atomless(space: FiberedSpace) -> bool:
     return kernel_atom_scan(space).atomless
 
 
-def _read(measure: FiberMeasure, intervals) -> tuple[list, int, int]:
-    """One prefix pass over a slice's intervals, read off the fiber's node
-    table as ints over one common denominator den: for each [lo, hi) the
-    diffuse mass of [0, lo) and of [lo, hi), then the slice's diffuse
-    mass, then den."""
-    spans, den = measure.table.spans(intervals)
-    return spans, sum(gain for _, gain in spans), den
-
-
 def _left_fill(measure: FiberMeasure, intervals, reading, target: int, scale: int):
     """Leftmost sub-intervals of the canonical intervals with diffuse mass
     exactly target / (den * scale), 0 < target <= their diffuse mass,
-    where reading = _read(measure, intervals) is over den. The cut is the
-    inverse CDF of the mass still missing, the leftmost such point."""
+    where reading = measure.table.spans(intervals) is over den. The cut
+    is the inverse CDF of the mass still missing, the leftmost such
+    point."""
     spans, _, den = reading
     for k, (base, gain) in enumerate(spans):
         gain *= scale
@@ -127,8 +120,8 @@ def _left_fill(measure: FiberMeasure, intervals, reading, target: int, scale: in
 
 def _slice_mass(measure: FiberMeasure, part: FiberSlice, reading) -> tuple[int, int]:
     """The slice's mass, diffuse plus picked, as an int over den * b, where
-    reading = _read(measure, part.intervals) is over den and b is the
-    picked mass's denominator. Returns the int and b."""
+    reading = measure.table.spans(part.intervals) is over den and b is
+    the picked mass's denominator. Returns the int and b."""
     _, diffuse, den = reading
     picked = measure.pick_mass(part.picks)
     return diffuse * picked.denominator + picked.numerator * den, picked.denominator
@@ -139,7 +132,7 @@ def _split_slice(measure: FiberMeasure, part: FiberSlice, h: Fraction, fiber: in
         return part
     if not h.numerator:
         return FiberSlice()
-    reading = _read(measure, part.intervals)
+    reading = measure.table.spans(part.intervals)
     total, b = _slice_mass(measure, part, reading)
     if total == 0:
         return FiberSlice()
@@ -176,13 +169,13 @@ def split(space: FiberedSpace, event: EventSet, coefficients: FiberFunction) -> 
 
 
 def _strict_readings(space: FiberedSpace, event: EventSet):
-    """Per fiber, the slice's _read when the slice splits strictly, else
-    None. A slice splits strictly unless its mass is zero or sits on one
-    atom: it needs diffuse mass or two picks."""
+    """Per fiber, the slice's spans on the fiber's table when the slice
+    splits strictly, else None. A slice splits strictly unless its mass
+    is zero or sits on one atom: it needs diffuse mass or two picks."""
     space.validate_event(event)
     out = []
     for f, part in zip(space.fibers, event.slices):
-        reading = _read(f.measure, part.intervals)
+        reading = f.measure.table.spans(part.intervals)
         out.append(reading if reading[1] > 0 or len(part.picks) >= 2 else None)
     return out
 

@@ -2,21 +2,21 @@
 
 On an atomless space every level t of the increasing family (B_t) is, on
 every fiber, the prefix [0, q_t), where the quantile q_t is the leftmost
-y whose diffuse mass of [0, y) is t. build_dyadic_family reads all dyadic
-levels off one quantiles call per fiber, so every stored set has per-fiber
-mass exactly t on every fiber at once; that constant conditional mass is
-what makes the family independent of the fiber index. The paper's
-constructive proof, repeated exact halving of the gaps between
-consecutive sets, yields the same sets; it is kept in condatom.selftest
-as one side of the construction-agreement criterion and pinned set for
-set against this family by the unit tests. set_at_level produces any
-single level, and level_set the strict level sets of the per-fiber
-conditional CDFs that build_uniform packages. Those CDFs are views of
-each fiber's own integer node table (FiberMeasure.table, a
-space.NodeTable), not copies, so there is one table per fiber; all three
-read their prefixes off its preimage and do their range checks on its
-ints by cross-multiplication, comparing no Fractions. level_scan finds a
-level whose intersection with a given event is conditionally strictly
+y whose diffuse mass of [0, y) is t. set_at_level produces any single
+level, and build_dyadic_family stores set_at_level at every dyadic
+level, so every stored set has per-fiber mass exactly t on every fiber
+at once; that constant conditional mass is what makes the family
+independent of the fiber index. The paper's constructive proof,
+repeated exact halving of the gaps between consecutive sets, yields the
+same sets; it is kept in condatom.selftest as one side of the
+construction-agreement criterion and pinned set for set against this
+family by the unit tests. build_uniform packages the per-fiber
+conditional CDFs, and level_set gives their strict level sets. Each CDF
+is the fiber's own table (FiberMeasure.table), the one PiecewiseLinear
+of its cumulative diffuse mass; set_at_level and level_set read their
+prefixes off its preimage and do their range checks on its integer
+image by cross-multiplication, comparing no Fractions. level_scan finds
+a level whose intersection with a given event is conditionally strictly
 between empty and full.
 """
 
@@ -60,7 +60,7 @@ class DyadicFamily:
 @dataclass(frozen=True)
 class UniformRV:
     """Per-fiber conditional CDFs y -> mass of [0, y); each nondecreasing.
-    The checks read each CDF's node table: ys[0] = 0 exactly when Y[0]
+    The checks read each CDF's integer image: ys[0] = 0 exactly when Y[0]
     is 0, and ys[-1] <= 1 exactly when Y[-1] <= ly."""
 
     cdfs: tuple[PiecewiseLinear, ...]
@@ -68,12 +68,11 @@ class UniformRV:
     def __post_init__(self):
         object.__setattr__(self, "cdfs", tuple(self.cdfs))
         for u in self.cdfs:
-            table = u.table
-            if table.Y[0] != 0:
+            if u.Y[0] != 0:
                 raise InvariantError("a conditional CDF must start at 0")
             if not u.nondecreasing:
                 raise InvariantError("a conditional CDF must be nondecreasing")
-            if table.Y[-1] > table.ly:
+            if u.Y[-1] > u.ly:
                 raise InvariantError("a conditional CDF cannot exceed 1")
 
 
@@ -84,23 +83,19 @@ def _require_atomless(space: FiberedSpace):
 
 
 def build_dyadic_family(space: FiberedSpace, depth: int) -> DyadicFamily:
-    """All levels k / 2**depth at once: per fiber, one quantiles call over
-    the sorted levels gives the prefix [0, q_t) of every level t strictly
-    between 0 and 1; level 0 is empty and level 1 the whole space."""
+    """set_at_level at every level k / 2**depth: level 0 is empty, level 1
+    the whole space, and every level t between is, per fiber, the prefix
+    [0, q_t)."""
     _require_atomless(space)
     if depth < 0:
         raise InvariantError(f"depth {depth} must be >= 0")
-    levels = [Fraction(k, 2**depth) for k in range(1, 2**depth)]
-    per_fiber = [f.measure.quantiles(levels) for f in space.fibers]
-    sets = {ZERO: space.empty_event(), ONE: space.whole_event()}
-    for k, t in enumerate(levels):
-        sets[t] = EventSet(tuple(FiberSlice.trusted(((ZERO, qs[k]),)) for qs in per_fiber))
-    return DyadicFamily(depth, sets)
+    levels = (Fraction(k, 2**depth) for k in range(2**depth + 1))
+    return DyadicFamily(depth, {t: set_at_level(space, t) for t in levels})
 
 
 def set_at_level(space: FiberedSpace, t) -> EventSet:
     """The event of per-fiber mass exactly t: on every fiber the prefix
-    [0, q_t) read off the fiber's node table. A fiber whose diffuse mass is
+    [0, q_t) read off the fiber's table. A fiber whose diffuse mass is
     below t cannot reach it, since point masses cannot be cut; its first
     atom is named in the AtomObstruction. With t = p/q, both range checks
     cross-multiply p and q against the table's ints."""
@@ -123,28 +118,21 @@ def set_at_level(space: FiberedSpace, t) -> EventSet:
 
 
 def build_uniform(space: FiberedSpace) -> UniformRV:
-    """Per-fiber conditional CDFs of an atomless space, each a view of
-    the fiber's own node table."""
+    """Per-fiber conditional CDFs of an atomless space: the fibers' own
+    tables."""
     _require_atomless(space)
-    return UniformRV(tuple(PiecewiseLinear.of_table(f.measure.table) for f in space.fibers))
+    return UniformRV(tuple(f.measure.table for f in space.fibers))
 
 
 def level_set(rv: UniformRV, t) -> EventSet:
     """The event {u < t}, per fiber a prefix [0, y) of the line, with y
-    the leftmost preimage of t in the node table of the fiber's CDF; t
-    above the CDF's last value gives the whole line [0, 1)."""
+    the leftmost preimage of t under the fiber's CDF; t above the CDF's
+    last value gives the whole line [0, 1), where preimage clamps."""
     t = as_fraction(t)
     p, q = t.numerator, t.denominator
-    out = []
-    for u in rv.cdfs:
-        table = u.table
-        if p <= 0:
-            out.append(FiberSlice())
-        elif p * table.ly > table.Y[-1] * q:
-            out.append(FiberSlice.trusted(((ZERO, ONE),)))
-        else:
-            out.append(FiberSlice.trusted(((ZERO, table.preimage(p, q)),)))
-    return EventSet(tuple(out))
+    if p <= 0:
+        return EventSet(tuple(FiberSlice() for _ in rv.cdfs))
+    return EventSet(tuple(FiberSlice.trusted(((ZERO, u.preimage(p, q)),)) for u in rv.cdfs))
 
 
 def intersection_mass_curves(space: FiberedSpace, event: EventSet) -> tuple[PiecewiseLinear, ...]:

@@ -120,7 +120,7 @@ class TestFiberMeasure:
     @settings(max_examples=50, deadline=None)
     @given(seeds())
     def test_parsed_tables_hold_the_reduced_ints(self, seed):
-        """A parsed fiber's node table holds its xs and ys as ints over the
+        """A parsed fiber's table holds its xs and ys as ints over the
         lcm of their own reduced denominators."""
         space = generate_space(random.Random(seed), FULL_MIXED)
         for fiber in parse_scenario(serialize_scenario(Scenario(space=space))).space.fibers:

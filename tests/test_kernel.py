@@ -28,7 +28,7 @@ from condatom import (
 )
 from condatom.cli import main
 from condatom.generate import GeneratorParams, generate_space, rng_for
-from condatom.selftest import FULL_MIXED, kernel_agreement
+from condatom.selftest import FULL_ATOMLESS, FULL_MIXED, kernel_agreement
 from condatom.splitting import verdict_holds
 from oracles import pushforward_residuals
 
@@ -176,7 +176,7 @@ class TestPushforwardResiduals:
     def test_constant_test_function(self):
         space = single(DOUBLED)
         rv = build_uniform(space)
-        residuals = pushforward_uniformity_check(space, rv, [PiecewiseLinear.constant(1)])
+        residuals = pushforward_uniformity_check(space, rv, [PiecewiseLinear((0, 1), (1, 1))])
         assert residuals == ((F(0),),)
 
     def test_identity_on_lebesgue(self):
@@ -199,7 +199,7 @@ class TestPushforwardResiduals:
         # constant and the hat at 1/2 integrate to 1 and 1/2 either way
         identity = PiecewiseLinear((F(0), F(1)), (F(0), F(1)))
         hat = PiecewiseLinear((F(0), F(1, 2), F(1)), (F(0), F(1), F(0)))
-        tests = [PiecewiseLinear.constant(1), identity, hat]
+        tests = [PiecewiseLinear((0, 1), (1, 1)), identity, hat]
         residuals = pushforward_uniformity_check(single(DOUBLED), UniformRV((identity,)), tests)
         assert residuals == ((F(0), F(-1, 4), F(0)),)
 
@@ -207,14 +207,14 @@ class TestPushforwardResiduals:
         rv = build_uniform(single(LEBESGUE))
         two = FiberedSpace((Fiber(F(1, 2), LEBESGUE), Fiber(F(1, 2), DOUBLED)))
         with pytest.raises(MismatchError, match="variable spans 1 fibers, space has 2"):
-            pushforward_uniformity_check(two, rv, [PiecewiseLinear.constant(1)])
+            pushforward_uniformity_check(two, rv, [PiecewiseLinear((0, 1), (1, 1))])
 
     def test_a_decreasing_cdf_is_refused(self):
         rv = build_uniform(single(LEBESGUE))
         down = PiecewiseLinear((F(0), F(1, 2), F(1)), (F(0), F(1, 2), F(1, 4)))
         object.__setattr__(rv, "cdfs", (down,))  # past UniformRV's own check
         with pytest.raises(ValueError, match="inner map must be nondecreasing"):
-            pushforward_uniformity_check(single(LEBESGUE), rv, [PiecewiseLinear.constant(1)])
+            pushforward_uniformity_check(single(LEBESGUE), rv, [PiecewiseLinear((0, 1), (1, 1))])
 
     def test_full_hat_family_vanishes_on_atomless_space(self):
         rng = rng_for(5, "unit-hats")
@@ -224,6 +224,17 @@ class TestPushforwardResiduals:
         tents = hat_family(system_nodes(rv))
         residuals = pushforward_uniformity_check(space, rv, tents)
         assert all(r == 0 for row in residuals for r in row)
+
+    def test_tents_build_no_int_image_on_an_atomless_space(self):
+        """With the true CDFs the signed pushforward is 0 on every fiber,
+        so no tent is evaluated, and none builds its integer image."""
+        for seed in range(30):
+            space = generate_space(rng_for(seed, "unit-lazy-tents"), FULL_ATOMLESS)
+            rv = build_uniform(space)
+            tents = hat_family(system_nodes(rv))
+            residuals = pushforward_uniformity_check(space, rv, tents)
+            assert all(r == 0 for row in residuals for r in row)
+            assert all(vars(t).keys() == {"xs", "ys"} for t in tents)
 
     def test_atom_produces_nonzero_residual(self):
         # half the mass sits at one point, so some tent must see it
@@ -262,7 +273,7 @@ class TestPushforwardAgainstOracle:
         if kind == "atoms":
             if kernel_atom_scan(space).atomless:
                 return None
-            return tuple(PiecewiseLinear.of_table(f.measure.table) for f in space.fibers)
+            return tuple(f.measure.table for f in space.fibers)
         true = build_uniform(space).cdfs
         if kind == "true":
             return true

@@ -1,5 +1,5 @@
-"""The integer node table, the integer-keyed sweep and is_subset against
-plain-Fraction references from tests/oracles.py."""
+"""PiecewiseLinear's integer image, the integer-keyed sweep and
+is_subset against plain-Fraction references from tests/oracles.py."""
 
 import random
 from fractions import Fraction
@@ -14,13 +14,13 @@ from condatom.cli import MAX_CHAIN
 from condatom.generate import generate_positive_event, generate_space
 from condatom.piecewise import PiecewiseLinear
 from condatom.selftest import FULL_ATOMLESS, FULL_MIXED
-from condatom.space import FiberMeasure, NodeTable
+from condatom.space import FiberMeasure
 from condatom.splitting import shrink_sequence
 
 F = Fraction
 
 unit = st.fractions(min_value=0, max_value=1, max_denominator=64)
-# points outside [0, 1] too: the table clamps there
+# points outside [0, 1] too: forward clamps there
 anywhere = st.fractions(min_value=-1, max_value=2, max_denominator=97)
 
 
@@ -45,17 +45,17 @@ def graphs(draw, monotone=False):
 @given(graphs(), anywhere)
 def test_forward_matches_interpolation(graph, x):
     xs, ys = graph
-    table = NodeTable(xs, ys)
+    f = PiecewiseLinear(xs, ys)
     for point in xs + (F(0), F(1), F(-1, 3), F(5, 4), x):
-        assert table.forward(point) == interpolate(xs, ys, point)
+        assert f.forward(point) == interpolate(xs, ys, point)
 
 
 @given(graphs(monotone=True), st.fractions(min_value=-1, max_value=4, max_denominator=97))
 def test_inverse_is_the_leftmost_preimage(graph, t):
     xs, ys = graph
-    table = NodeTable(xs, ys)
+    f = PiecewiseLinear(xs, ys)
     for level in ys + (t,):
-        x = table.inverse(level)
+        x = f.inverse(level)
         assert x == leftmost_preimage(xs, ys, level)
         if ys[0] <= level <= ys[-1]:
             assert interpolate(xs, ys, x) == level
@@ -63,12 +63,12 @@ def test_inverse_is_the_leftmost_preimage(graph, t):
 
 
 def test_inverse_skips_flat_stretches():
-    table = NodeTable((F(0), F(1, 4), F(1, 2), F(3, 4), F(1)), (F(0), F(0), F(1, 2), F(1, 2), F(1)))
-    assert table.inverse(F(0)) == 0
-    assert table.inverse(F(1, 4)) == F(3, 8)
-    assert table.inverse(F(1, 2)) == F(1, 2)
-    assert table.inverse(F(3, 4)) == F(7, 8)
-    assert table.inverse(F(2)) == 1
+    f = PiecewiseLinear((F(0), F(1, 4), F(1, 2), F(3, 4), F(1)), (F(0), F(0), F(1, 2), F(1, 2), F(1)))
+    assert f.inverse(F(0)) == 0
+    assert f.inverse(F(1, 4)) == F(3, 8)
+    assert f.inverse(F(1, 2)) == F(1, 2)
+    assert f.inverse(F(3, 4)) == F(7, 8)
+    assert f.inverse(F(2)) == 1
 
 
 @given(graphs(), unit)
@@ -84,9 +84,16 @@ def test_nondecreasing_on_the_table_ints_matches_the_fractions(graph):
     xs, ys = graph
     f = PiecewiseLinear(xs, ys)
     assert f.nondecreasing == all(a <= b for a, b in zip(ys, ys[1:]))
-    view = PiecewiseLinear.of_table(f.table)
-    assert view == f and view.table is f.table
-    assert view.nondecreasing == f.nondecreasing
+
+
+@given(graphs())
+def test_trusted_builds_the_checked_constructors_int_image(graph):
+    xs, ys = graph
+    f, trusted = PiecewiseLinear(xs, ys), PiecewiseLinear.trusted(xs, ys)
+    assert trusted == f and trusted.xs is xs and trusted.ys is ys
+    assert (trusted.X, trusted.Y, trusted.S) == (f.X, f.Y, f.S)
+    assert (trusted.lx, trusted.ly, trusted.W, trusted.unit) == (f.lx, f.ly, f.W, f.unit)
+    assert trusted.nondecreasing == f.nondecreasing
 
 
 def test_piecewise_at_still_refuses_points_outside_the_unit_interval():
@@ -112,7 +119,8 @@ def test_fiber_table_on_generated_measures(params):
 
 def test_max_chain_endpoints_with_wide_denominators():
     """The endpoints after MAX_CHAIN exact halvings carry denominators of
-    more than 64 bits; the table still agrees with the references there."""
+    more than 64 bits; the fiber's table still agrees with the references
+    there."""
     rng = random.Random(3)
     space = generate_space(rng, FULL_ATOMLESS)
     event = generate_positive_event(rng, space)

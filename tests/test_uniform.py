@@ -257,9 +257,10 @@ class TestMassCurves:
 
 
 class TestOneTablePerFiber:
-    """The uniform side reads each fiber's own node table: the CDFs are
-    views of it, and set_at_level and level_set check their ranges on its
-    ints. Results are pinned against the plain-Fraction oracles."""
+    """The uniform side reads each fiber's own table: the CDFs are those
+    tables, and set_at_level and level_set check their ranges on its
+    integer image. Results are pinned against the plain-Fraction
+    oracles."""
 
     @staticmethod
     def assert_prefix(measure, part, t):
@@ -276,8 +277,8 @@ class TestOneTablePerFiber:
         rv = build_uniform(space)
         for u, fiber in zip(rv.cdfs, space.fibers):
             m = fiber.measure
-            assert u.table is m.table
-            assert u.xs is m.table.xs and u.ys is m.table.ys
+            assert u is m.table
+            assert u.xs is m.breakpoints and u.ys is m.diffuse_cumulative
             assert u == PiecewiseLinear(m.breakpoints, m.diffuse_cumulative)
 
     def test_endpoints_match_the_oracle(self, two_fiber_space):
@@ -315,18 +316,18 @@ class TestOneTablePerFiber:
 
     @pytest.mark.parametrize("t", [F(-1), F(-1, 3), F(0)])
     def test_level_set_at_or_below_zero_is_empty(self, t):
-        rv = UniformRV((PiecewiseLinear.of_table(TWO_ATOMS.table),))
+        rv = UniformRV((TWO_ATOMS.table,))
         assert level_set(rv, t) == EventSet((FiberSlice(),))
 
     def test_level_set_up_to_a_cdfs_last_value(self):
-        rv = UniformRV((PiecewiseLinear.of_table(TWO_ATOMS.table),))
+        rv = UniformRV((TWO_ATOMS.table,))
         top = TWO_ATOMS.diffuse_total
         for t in (F(1, 3), top - F(1, 2**70), top):
             self.assert_prefix(TWO_ATOMS, level_set(rv, t).slices[0], t)
 
     @pytest.mark.parametrize("above", [F(1, 2**70), F(1, 8), F(1, 4), F(5, 4)])
     def test_level_set_above_a_cdfs_last_value_is_the_whole_line(self, above):
-        rv = UniformRV((PiecewiseLinear.of_table(TWO_ATOMS.table),))
+        rv = UniformRV((TWO_ATOMS.table,))
         t = TWO_ATOMS.diffuse_total + above
         assert level_set(rv, t).slices[0].intervals == ((F(0), F(1)),)
 
