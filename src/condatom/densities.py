@@ -27,6 +27,7 @@ from .space import (
     InvariantError,
     MismatchError,
     as_fraction,
+    as_fractions,
 )
 
 
@@ -40,17 +41,16 @@ class Cell:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", as_fraction(self.lo))
-        object.__setattr__(self, "hi", as_fraction(self.hi))
+        lo, hi = self.lo, self.hi
+        if type(lo) is not Fraction or type(hi) is not Fraction:
+            lo, hi = as_fraction(lo), as_fraction(hi)
+            object.__setattr__(self, "lo", lo)
+            object.__setattr__(self, "hi", hi)
         if self.fiber < 0:
             raise InvariantError(f"cell fiber index {self.fiber} is negative")
-        lo, hi = self.lo, self.hi
-        if not (
-            0 <= lo.numerator
-            and lo.numerator * hi.denominator <= hi.numerator * lo.denominator
-            and hi.numerator <= hi.denominator
-        ):
-            raise InvariantError(f"cell [{self.lo},{self.hi}) outside [0,1] or inverted")
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        if not (0 <= ln and ln * hd <= hn * ld and hn <= hd):
+            raise InvariantError(f"cell [{lo},{hi}) outside [0,1] or inverted")
 
     @property
     def is_site(self) -> bool:
@@ -68,16 +68,17 @@ class MeasureFamily:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(self.cells))
-        object.__setattr__(
-            self, "masses", tuple(tuple(as_fraction(v) for v in row) for row in self.masses)
-        )
-        object.__setattr__(self, "weights", tuple(as_fraction(w) for w in self.weights))
-        if not self.cells:
+        cells = tuple(self.cells)
+        masses = tuple(map(as_fractions, self.masses))
+        weights = as_fractions(self.weights)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "weights", weights)
+        if not cells:
             raise InvariantError("a family needs at least one cell")
         # the cells' endpoints as ints over their common denominator
-        _, keys = int_keys([x for c in self.cells for x in (c.lo, c.hi)])
-        spans = [(c.fiber, lo, hi) for c, lo, hi in zip(self.cells, keys[::2], keys[1::2])]
+        _, keys = int_keys([x for c in cells for x in (c.lo, c.hi)])
+        spans = [(c.fiber, lo, hi) for c, lo, hi in zip(cells, keys[::2], keys[1::2])]
         if len(set(spans)) != len(spans):
             raise InvariantError("duplicate cells in the grid")
         by_fiber: dict[int, list[tuple[int, int]]] = {}
@@ -90,28 +91,26 @@ class MeasureFamily:
             for (_, h0), (l1, _) in zip(group, group[1:]):
                 if l1 < h0:
                     raise InvariantError(f"overlapping cells on fiber {i}")
-        if len(self.masses) != len(self.weights):
-            raise InvariantError(
-                f"{len(self.masses)} measures but {len(self.weights)} weights"
-            )
-        if not self.masses:
+        if len(masses) != len(weights):
+            raise InvariantError(f"{len(masses)} measures but {len(weights)} weights")
+        if not masses:
             raise InvariantError("a family needs at least one measure")
-        for k, row in enumerate(self.masses):
-            if len(row) != len(self.cells):
+        for k, row in enumerate(masses):
+            if len(row) != len(cells):
                 raise InvariantError(
-                    f"measure {k} covers {len(row)} cells, grid has {len(self.cells)}"
+                    f"measure {k} covers {len(row)} cells, grid has {len(cells)}"
                 )
-            if any(v.numerator < 0 for v in row):
-                raise InvariantError(f"measure {k} has a negative cell mass")
             den, ints = int_keys(row)
+            if min(ints) < 0:
+                raise InvariantError(f"measure {k} has a negative cell mass")
             if sum(ints) != den:
                 raise InvariantError(
                     f"measure {k} masses sum to {Fraction(sum(ints), den)}, expected 1"
                 )
-        for w in self.weights:
-            if w.numerator <= 0:
+        den, ints = int_keys(weights)
+        for w, v in zip(weights, ints):
+            if v <= 0:
                 raise InvariantError(f"mixture weight {w} must be strictly positive")
-        den, ints = int_keys(self.weights)
         if sum(ints) != den:
             raise InvariantError(f"mixture weights sum to {Fraction(sum(ints), den)}, expected 1")
 

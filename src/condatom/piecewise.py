@@ -7,6 +7,8 @@ intervals and the monotonicity check all read those ints. A fiber's
 cumulative diffuse mass (FiberMeasure.table) is one of these functions,
 made without checks by PiecewiseLinear.trusted, and is also the fiber's
 conditional CDF on the uniform side: each fiber CDF is one object.
+FiberMeasure hands its table the node ints it checked the measure on,
+so that table's first read builds only the slopes.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from .intervals import ONE, ZERO, InvariantError, as_fraction, int_keys
 class _IntField:
     """One field of a PiecewiseLinear's integer image. The first read of
     any field builds them all into the instance's dict, where every
-    later read finds them without calling this descriptor."""
+    later read finds them without calling this descriptor. A function
+    made with a seeded image already holds lx, X, ly and Y there, and
+    the first read adds only the slopes."""
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -31,13 +35,16 @@ class _IntField:
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
-        lx, X = int_keys(obj.xs)
-        ly, Y = int_keys(obj.ys)
+        image = vars(obj)
+        if "Y" not in image:
+            image["lx"], image["X"] = int_keys(obj.xs)
+            image["ly"], image["Y"] = int_keys(obj.ys)
+        X, Y = image["X"], image["Y"]
         widths = [b - a for a, b in zip(X, X[1:])]
         W = lcm(*widths)
         S = [(b - a) * (W // w) for a, b, w in zip(Y, Y[1:], widths)]
-        vars(obj).update(lx=lx, X=X, ly=ly, Y=Y, W=W, S=S, unit=ly * W)
-        return vars(obj)[self.name]
+        image.update(W=W, S=S, unit=image["ly"] * W)
+        return image[self.name]
 
 
 @dataclass(frozen=True)
@@ -74,13 +81,21 @@ class PiecewiseLinear:
             raise InvariantError("nodes must be strictly increasing")
 
     @classmethod
-    def trusted(cls, xs: tuple[Fraction, ...], ys: tuple[Fraction, ...]) -> PiecewiseLinear:
+    def trusted(
+        cls, xs: tuple[Fraction, ...], ys: tuple[Fraction, ...], image=None
+    ) -> PiecewiseLinear:
         """The function through nodes that are already Fractions, xs
         strictly increasing from 0 to 1, made without the constructor's
-        coercion and checks; internal fast path for derived graphs."""
+        coercion and checks; internal fast path for derived graphs.
+        image, when given, is the nodes' (lx, X, ly, Y) exactly as the
+        first read would build them, lx and ly the lcm of the reduced
+        denominators, and seeds the integer image."""
         out = object.__new__(cls)
         object.__setattr__(out, "xs", xs)
         object.__setattr__(out, "ys", ys)
+        if image is not None:
+            lx, X, ly, Y = image
+            vars(out).update(lx=lx, X=X, ly=ly, Y=Y)
         return out
 
     @classmethod

@@ -15,6 +15,14 @@ Rationals are "num/den" or integer strings, read with the grammar of
 Python's Fraction(str); JSON integers are accepted, floats are rejected
 so exactness cannot leak in. Parsing validates every
 type invariant and names the violated one in the error.
+
+Parsing is one pass from text to the package's objects. Each distinct
+rational string is read once per parse, and its later occurrences
+share that Fraction. A dict's keys are checked with one subset test,
+and the location of a bad entry is formatted only when it fails. The
+constructors take the parsed Fractions without coercing them again and
+check each invariant on ints; FiberMeasure hands the ints it checked
+to its table as the table's integer image.
 """
 
 from __future__ import annotations
@@ -89,6 +97,59 @@ def _scalars(values, where: str) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _pairs(values, where: str) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Parse a list of [lo, hi] pairs, located like _scalars."""
+    out = []
+    for j, pair in enumerate(_expect(values, list, where)):
+        pair_where = f"{where}[{j}]"
+        if len(_expect(pair, list, pair_where)) != 2:
+            raise ScenarioError(f"{pair_where}: expected a pair")
+        out.append(_scalars(pair, pair_where))
+    return tuple(out)
+
+
+class _Rationals(dict):
+    """The rationals of one parse, by their text: each distinct string
+    is read once, and its later occurrences share the one Fraction. A
+    value that does not read is never kept, so it fails again, with its
+    own location, wherever it occurs. Only strings are kept: a kept int 1
+    would be found for true and for 1.0, which must be refused.
+
+    Each reader takes its location as a format string and arguments,
+    formatted only when the value fails; the located readers above then
+    read the value again to name the failing entry."""
+
+    def __missing__(self, value) -> Fraction:
+        x = _rational(value)
+        if type(value) is str:
+            self[value] = x
+        return x
+
+    def scalar(self, value, where: str, *at) -> Fraction:
+        try:
+            return self[value]
+        except (ScenarioError, TypeError):  # TypeError: a list or a dict
+            return parse_scalar(value, where.format(*at))
+
+    def scalars(self, values, where: str, *at) -> tuple[Fraction, ...]:
+        if type(values) is list:
+            try:
+                return tuple(map(self.__getitem__, values))
+            except (ScenarioError, TypeError):
+                pass
+        return _scalars(values, where.format(*at))
+
+    def pairs(self, values, where: str, *at) -> tuple[tuple[Fraction, Fraction], ...]:
+        if type(values) is list:
+            try:
+                out = [(self[p[0]], self[p[1]]) for p in values if type(p) is list and len(p) == 2]
+                if len(out) == len(values):
+                    return tuple(out)
+            except (ScenarioError, TypeError):
+                pass
+        return _pairs(values, where.format(*at))
+
+
 def format_scalar(value: Fraction) -> str:
     return str(Fraction(value))
 
@@ -105,83 +166,105 @@ def _reject_unknown(obj: dict, allowed, where: str):
         raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _parse_fiber(obj, where: str) -> Fiber:
+_SCENARIO_KEYS = frozenset({"space", "sets", "h", "measures", "params"})
+_SPACE_KEYS = frozenset({"fibers"})
+_FIBER_KEYS = frozenset({"weight", "breakpoints", "densities", "atoms"})
+_ATOM_KEYS = frozenset({"location", "weight"})
+_SLICE_KEYS = frozenset({"intervals", "picks"})
+_FAMILY_KEYS = frozenset({"weights", "cells", "masses"})
+_CELL_KEYS = frozenset({"fiber", "lo", "hi"})
+
+
+def _check_keys(obj, allowed: frozenset, where: str):
+    """Refuse obj unless it is a dict with only allowed keys."""
     _expect(obj, dict, where)
-    _reject_unknown(obj, {"weight", "breakpoints", "densities", "atoms"}, where)
-    for key in ("weight", "breakpoints", "densities"):
-        if key not in obj:
-            raise ScenarioError(f"{where}: missing {key!r}")
-    atoms = []
-    for j, a in enumerate(_expect(obj.get("atoms", []), list, f"{where}.atoms")):
-        _expect(a, dict, f"{where}.atoms[{j}]")
-        _reject_unknown(a, {"location", "weight"}, f"{where}.atoms[{j}]")
-        atoms.append(
+    _reject_unknown(obj, allowed, where)
+
+
+def _parse_atoms(atoms, i: int, read: _Rationals) -> tuple[tuple[Fraction, Fraction], ...]:
+    if type(atoms) is not list:
+        _expect(atoms, list, f"space.fibers[{i}].atoms")
+    out = []
+    for j, a in enumerate(atoms):
+        if type(a) is not dict or not a.keys() <= _ATOM_KEYS:
+            _check_keys(a, _ATOM_KEYS, f"space.fibers[{i}].atoms[{j}]")
+        out.append(
             (
-                parse_scalar(a.get("location"), f"{where}.atoms[{j}].location"),
-                parse_scalar(a.get("weight"), f"{where}.atoms[{j}].weight"),
+                read.scalar(a.get("location"), "space.fibers[{}].atoms[{}].location", i, j),
+                read.scalar(a.get("weight"), "space.fibers[{}].atoms[{}].weight", i, j),
             )
         )
+    return tuple(out)
+
+
+def _parse_fiber(obj, i: int, read: _Rationals) -> Fiber:
+    if type(obj) is not dict or not obj.keys() <= _FIBER_KEYS:
+        _check_keys(obj, _FIBER_KEYS, f"space.fibers[{i}]")
+    for key in ("weight", "breakpoints", "densities"):
+        if key not in obj:
+            raise ScenarioError(f"space.fibers[{i}]: missing {key!r}")
     measure = FiberMeasure(
-        atoms=tuple(atoms),
-        breakpoints=_scalars(obj["breakpoints"], f"{where}.breakpoints"),
-        densities=_scalars(obj["densities"], f"{where}.densities"),
+        atoms=_parse_atoms(obj["atoms"], i, read) if "atoms" in obj else (),
+        breakpoints=read.scalars(obj["breakpoints"], "space.fibers[{}].breakpoints", i),
+        densities=read.scalars(obj["densities"], "space.fibers[{}].densities", i),
     )
-    return Fiber(parse_scalar(obj["weight"], f"{where}.weight"), measure)
+    return Fiber(read.scalar(obj["weight"], "space.fibers[{}].weight", i), measure)
 
 
-def _parse_space(obj) -> FiberedSpace:
-    _expect(obj, dict, "space")
-    _reject_unknown(obj, {"fibers"}, "space")
-    fibers = _expect(obj.get("fibers"), list, "space.fibers")
-    return FiberedSpace(
-        tuple(_parse_fiber(f, f"space.fibers[{i}]") for i, f in enumerate(fibers))
-    )
+def _parse_space(obj, read: _Rationals) -> FiberedSpace:
+    if type(obj) is not dict or not obj.keys() <= _SPACE_KEYS:
+        _check_keys(obj, _SPACE_KEYS, "space")
+    fibers = obj.get("fibers")
+    if type(fibers) is not list:
+        _expect(fibers, list, "space.fibers")
+    return FiberedSpace(tuple([_parse_fiber(f, i, read) for i, f in enumerate(fibers)]))
 
 
-def _parse_event(obj, n_fibers: int, where: str) -> EventSet:
-    _expect(obj, list, where)
+def _parse_event(obj, name: str, n_fibers: int, read: _Rationals) -> EventSet:
+    if type(obj) is not list:
+        _expect(obj, list, f"sets.{name}")
     if len(obj) != n_fibers:
-        raise InvariantError(f"{where} covers {len(obj)} fibers, space has {n_fibers}")
+        raise InvariantError(f"sets.{name} covers {len(obj)} fibers, space has {n_fibers}")
     slices = []
     for i, part in enumerate(obj):
-        _expect(part, dict, f"{where}[{i}]")
-        _reject_unknown(part, {"intervals", "picks"}, f"{where}[{i}]")
-        intervals = []
-        for j, pair in enumerate(_expect(part.get("intervals", []), list, f"{where}[{i}].intervals")):
-            pair_where = f"{where}[{i}].intervals[{j}]"
-            if len(_expect(pair, list, pair_where)) != 2:
-                raise ScenarioError(f"{pair_where}: expected a pair")
-            intervals.append(_scalars(pair, pair_where))
-        picks = _scalars(part.get("picks", []), f"{where}[{i}].picks")
-        slices.append(FiberSlice(tuple(intervals), picks))
+        if type(part) is not dict or not part.keys() <= _SLICE_KEYS:
+            _check_keys(part, _SLICE_KEYS, f"sets.{name}[{i}]")
+        slices.append(
+            FiberSlice(
+                read.pairs(part.get("intervals", []), "sets.{}[{}].intervals", name, i),
+                read.scalars(part.get("picks", []), "sets.{}[{}].picks", name, i),
+            )
+        )
     return EventSet(tuple(slices))
 
 
-def _parse_family(obj) -> MeasureFamily:
-    _expect(obj, dict, "measures")
-    _reject_unknown(obj, {"weights", "cells", "masses"}, "measures")
+def _parse_family(obj, read: _Rationals) -> MeasureFamily:
+    if type(obj) is not dict or not obj.keys() <= _FAMILY_KEYS:
+        _check_keys(obj, _FAMILY_KEYS, "measures")
     for key in ("weights", "cells", "masses"):
         if key not in obj:
             raise ScenarioError(f"measures: missing {key!r}")
     cells = []
     for j, c in enumerate(_expect(obj["cells"], list, "measures.cells")):
-        _expect(c, dict, f"measures.cells[{j}]")
-        _reject_unknown(c, {"fiber", "lo", "hi"}, f"measures.cells[{j}]")
+        if type(c) is not dict or not c.keys() <= _CELL_KEYS:
+            _check_keys(c, _CELL_KEYS, f"measures.cells[{j}]")
         fiber = c.get("fiber")
-        if not isinstance(fiber, int) or isinstance(fiber, bool):
+        if type(fiber) is not int:  # JSON gives int, or bool for true and false
             raise ScenarioError(f"measures.cells[{j}].fiber: expected an integer")
         cells.append(
             Cell(
                 fiber,
-                parse_scalar(c.get("lo"), f"measures.cells[{j}].lo"),
-                parse_scalar(c.get("hi"), f"measures.cells[{j}].hi"),
+                read.scalar(c.get("lo"), "measures.cells[{}].lo", j),
+                read.scalar(c.get("hi"), "measures.cells[{}].hi", j),
             )
         )
     masses = tuple(
-        _scalars(row, f"measures.masses[{k}]")
-        for k, row in enumerate(_expect(obj["masses"], list, "measures.masses"))
+        [
+            read.scalars(row, "measures.masses[{}]", k)
+            for k, row in enumerate(_expect(obj["masses"], list, "measures.masses"))
+        ]
     )
-    weights = _scalars(obj["weights"], "measures.weights")
+    weights = read.scalars(obj["weights"], "measures.weights")
     return MeasureFamily(cells=tuple(cells), masses=masses, weights=weights)
 
 
@@ -205,14 +288,15 @@ def parse_scenario(text: str) -> Scenario:
         # nesting deeper than the interpreter's recursion limit, or an
         # integer literal longer than int's digit limit
         raise ScenarioError(f"parse error: {e}") from None
-    _expect(obj, dict, "scenario")
-    _reject_unknown(obj, {"space", "sets", "h", "measures", "params"}, "scenario")
+    if type(obj) is not dict or not obj.keys() <= _SCENARIO_KEYS:
+        _check_keys(obj, _SCENARIO_KEYS, "scenario")
     if "space" not in obj:
         raise ScenarioError("scenario: missing 'space'")
-    space = _parse_space(obj["space"])
+    read = _Rationals()
+    space = _parse_space(obj["space"], read)
     sets = {}
     for name, body in _expect(obj.get("sets", {}), dict, "sets").items():
-        event = _parse_event(body, space.n_fibers, f"sets.{name}")
+        event = _parse_event(body, name, space.n_fibers, read)
         space.validate_event(event)
         sets[name] = event
     h = None
@@ -220,11 +304,11 @@ def parse_scenario(text: str) -> Scenario:
         hs = _expect(obj["h"], list, "h")
         if len(hs) != space.n_fibers:
             raise InvariantError(f"h covers {len(hs)} fibers, space has {space.n_fibers}")
-        h = _scalars(hs, "h")
+        h = read.scalars(hs, "h")
         for v in h:
-            if not 0 <= v <= 1:
+            if not 0 <= v.numerator <= v.denominator:
                 raise InvariantError(f"h value {v} outside [0,1]")
-    measures = _parse_family(obj["measures"]) if "measures" in obj else None
+    measures = _parse_family(obj["measures"], read) if "measures" in obj else None
     params = _check_params(obj.get("params", {}))
     return Scenario(space=space, sets=sets, h=h, measures=measures, params=params)
 

@@ -20,6 +20,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .intervals import (
     ONE,
@@ -32,6 +33,7 @@ from .intervals import (
     int_keys,
     intersect,
     is_subset,
+    sweep,
     union,
 )
 from .piecewise import PiecewiseLinear
@@ -43,6 +45,30 @@ class MismatchError(ValueError):
     """Operands belong to structurally different spaces or grids."""
 
 
+def as_fractions(values) -> tuple[Fraction, ...]:
+    """values as a tuple of Fractions: a tuple that holds only Fractions
+    as it is, anything else coerced entry by entry with as_fraction."""
+    if type(values) is tuple:
+        for x in values:
+            if type(x) is not Fraction:
+                break
+        else:
+            return values
+    return tuple(map(as_fraction, values))
+
+
+def as_fraction_pairs(pairs) -> tuple[tuple[Fraction, Fraction], ...]:
+    """pairs as a tuple of Fraction pairs: as it is when it already is
+    one, anything else coerced pair by pair with as_fraction."""
+    if type(pairs) is tuple:
+        for p in pairs:
+            if type(p) is not tuple or len(p) != 2 or not type(p[0]) is type(p[1]) is Fraction:
+                break
+        else:
+            return pairs
+    return tuple([(as_fraction(a), as_fraction(b)) for a, b in pairs])
+
+
 @dataclass(frozen=True)
 class FiberMeasure:
     """A probability measure on [0, 1]: point masses plus a step density.
@@ -51,8 +77,12 @@ class FiberMeasure:
     locations; densities[j] is the constant density on
     [breakpoints[j], breakpoints[j+1]). Atom weights plus the density
     integral must sum to exactly 1. diffuse_cumulative[j] is the diffuse
-    mass of [0, breakpoints[j]). The constructor checks every invariant,
-    and sums the cumulative mass, on ints over common denominators.
+    mass of [0, breakpoints[j]), and table is the cumulative diffuse
+    mass, y -> mass of [0, y), as a piecewise-linear graph through the
+    breakpoints. The constructor coerces only values that are not
+    Fractions, checks every invariant and sums the cumulative mass on
+    ints over common denominators, and hands those ints to the table as
+    its integer image.
     """
 
     atoms: tuple[tuple[Fraction, Fraction], ...] = ()
@@ -60,46 +90,51 @@ class FiberMeasure:
     densities: tuple[Fraction, ...] = (ONE,)
 
     def __post_init__(self):
-        atoms = tuple((as_fraction(l), as_fraction(w)) for l, w in self.atoms)
-        bps = tuple(map(as_fraction, self.breakpoints))
-        densities = tuple(map(as_fraction, self.densities))
+        atoms = as_fraction_pairs(self.atoms)
+        bps = as_fractions(self.breakpoints)
+        densities = as_fractions(self.densities)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "densities", densities)
         lx, X = int_keys(bps)
         if len(X) < 2 or X[0] != 0 or X[-1] != lx:
             raise InvariantError("breakpoints must run from 0 to 1")
-        if any(a >= b for a, b in zip(X, X[1:])):
+        if not all(map(operator.lt, X, X[1:])):
             raise InvariantError("breakpoints must be strictly increasing")
         if len(densities) != len(bps) - 1:
             raise InvariantError(
                 f"expected {len(bps) - 1} densities for {len(bps)} breakpoints, "
                 f"got {len(densities)}"
             )
-        if any(d.numerator < 0 for d in densities):
+        dd, dens = int_keys(densities)
+        if min(dens) < 0:
             raise InvariantError("densities must be nonnegative")
         for loc, w in atoms:
             if not 0 <= loc.numerator <= loc.denominator:
                 raise InvariantError(f"atom location {loc} outside [0,1]")
             if w.numerator <= 0:
                 raise InvariantError(f"atom weight {w} must be positive")
-        if any(
+        if len(atoms) > 1 and any(
             a.numerator * b.denominator >= b.numerator * a.denominator
             for (a, _), (b, _) in zip(atoms, atoms[1:])
         ):
             raise InvariantError("atom locations must be strictly increasing")
         # the cumulative diffuse mass as ints over den = dd*lx, dd the lcm
         # of the density denominators, and the atom weights over la
-        dd, dens = int_keys(densities)
         cum = [0]
         for d, a, b in zip(dens, X, X[1:]):
             cum.append(cum[-1] + d * (b - a))
         den = dd * lx
-        la, weights = int_keys([w for _, w in atoms])
+        la, weights = int_keys([w for _, w in atoms]) if atoms else (1, ())
         total = sum(weights) * den + cum[-1] * la
         if total != la * den:
             raise InvariantError(f"fiber mass sums to {Fraction(total, la * den)}, expected 1")
-        object.__setattr__(self, "diffuse_cumulative", tuple(Fraction(c, den) for c in cum))
+        # over ly = den/g, the lcm of the masses' reduced denominators
+        g = gcd(den, *cum)
+        ly, Y = den // g, [c // g for c in cum]
+        ys = tuple([Fraction(c, ly) for c in Y])
+        object.__setattr__(self, "diffuse_cumulative", ys)
+        object.__setattr__(self, "table", PiecewiseLinear.trusted(bps, ys, (lx, X, ly, Y)))
 
     @property
     def diffuse_total(self) -> Fraction:
@@ -112,12 +147,6 @@ class FiberMeasure:
     @property
     def atom_locations(self) -> tuple[Fraction, ...]:
         return tuple(loc for loc, _ in self.atoms)
-
-    @cached_property
-    def table(self) -> PiecewiseLinear:
-        """The cumulative diffuse mass, y -> mass of [0, y), as a
-        piecewise-linear graph through the breakpoints."""
-        return PiecewiseLinear.trusted(self.breakpoints, self.diffuse_cumulative)
 
     def prefix_diffuse(self, x) -> Fraction:
         """Diffuse mass of [0, x)."""
@@ -161,7 +190,8 @@ class FiberMeasure:
         return total
 
     def mass(self, part: FiberSlice) -> Fraction:
-        diffuse = self.diffuse_mass(part.intervals)
+        _, total, den = self.table.spans(part.intervals)
+        diffuse = Fraction(total, den)
         return diffuse + self.pick_mass(part.picks) if part.picks else diffuse
 
 
@@ -180,20 +210,20 @@ class FiberSlice:
     picks: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
-        raw = tuple((as_fraction(a), as_fraction(b)) for a, b in self.intervals)
+        raw = as_fraction_pairs(self.intervals)
         ordered = True  # sorted with gaps between, as canonical leaves them
-        prev = None
+        pn, pd = -1, 1  # the previous end, -1 before the first interval
         for a, b in raw:
             an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
             if an * bd >= bn * ad:
                 raise InvariantError(f"interval [{a},{b}) is empty or inverted")
             if an < 0 or bn > bd:
                 raise InvariantError(f"interval [{a},{b}) outside [0,1]")
-            if ordered and prev is not None and an * prev.denominator <= prev.numerator * ad:
+            if an * pd <= pn * ad:
                 ordered = False
-            prev = b
-        picks = tuple(map(as_fraction, self.picks))
-        if any(
+            pn, pd = bn, bd
+        picks = as_fractions(self.picks)
+        if len(picks) > 1 and any(
             p.numerator * q.denominator >= q.numerator * p.denominator
             for p, q in zip(picks, picks[1:])
         ):
@@ -271,7 +301,7 @@ class EventSet:
         return self._per_fiber(other, difference, operator.sub)
 
     def symmetric_difference(self, other: EventSet) -> EventSet:
-        return self.difference(other).union(other.difference(self))
+        return self._per_fiber(other, lambda a, b: sweep(a, b, operator.ne), operator.xor)
 
     def is_subset(self, other: EventSet) -> bool:
         self._check(other)
@@ -289,24 +319,31 @@ class Fiber:
     measure: FiberMeasure
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", as_fraction(self.weight))
-        if self.weight <= 0:
-            raise InvariantError(f"fiber weight {self.weight} must be positive")
+        weight = self.weight
+        if type(weight) is not Fraction:
+            weight = as_fraction(weight)
+            object.__setattr__(self, "weight", weight)
+        if weight.numerator <= 0:
+            raise InvariantError(f"fiber weight {weight} must be positive")
 
 
 @dataclass(frozen=True)
 class FiberedSpace:
-    """Weighted fibers; weights sum to exactly 1."""
+    """Weighted fibers; weights sum to exactly 1, checked on ints over
+    their common denominator."""
 
     fibers: tuple[Fiber, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "fibers", tuple(self.fibers))
-        if not self.fibers:
+        fibers = tuple(self.fibers)
+        object.__setattr__(self, "fibers", fibers)
+        if not fibers:
             raise InvariantError("a space needs at least one fiber")
-        total = sum((f.weight for f in self.fibers), ZERO)
-        if total != 1:
-            raise InvariantError(f"fiber weights sum to {total}, expected 1")
+        den, weights = int_keys([f.weight for f in fibers])
+        if sum(weights) != den:
+            raise InvariantError(
+                f"fiber weights sum to {Fraction(sum(weights), den)}, expected 1"
+            )
 
     @property
     def n_fibers(self) -> int:

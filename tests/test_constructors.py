@@ -27,12 +27,13 @@ from condatom import (
     FiberSlice,
     InvariantError,
     MeasureFamily,
+    PiecewiseLinear,
     Scenario,
     mixture,
 )
 from condatom.generate import GeneratorParams, generate_event, generate_family, generate_space
 from condatom.scenario import parse_scenario, serialize_scenario
-from condatom.selftest import FULL_MIXED
+from condatom.selftest import FULL_ATOMLESS, FULL_MIXED
 
 F = Fraction
 D64 = 2**64 - 59  # the largest prime below 2**64
@@ -133,6 +134,19 @@ class TestFiberMeasure:
             assert table.X == [x.numerator * (lx // x.denominator) for x in xs]
             assert table.Y == [y.numerator * (ly // y.denominator) for y in ys]
 
+
+    @settings(max_examples=100, deadline=None)
+    @given(seeds(), st.sampled_from((FULL_ATOMLESS, FULL_MIXED)))
+    def test_seeded_table_image_equals_the_lazy_one(self, seed, params):
+        """The constructor hands its table the ints it checked the
+        measure on; they equal the image a table built on first read."""
+        for fiber in generate_space(random.Random(seed), params).fibers:
+            m = fiber.measure
+            assert {"lx", "X", "ly", "Y"} <= vars(m.table).keys()
+            lazy = PiecewiseLinear.trusted(m.breakpoints, m.diffuse_cumulative)
+            assert (m.table.xs, m.table.ys) == (lazy.xs, lazy.ys)
+            for name in ("lx", "X", "ly", "Y", "W", "S", "unit"):
+                assert getattr(m.table, name) == getattr(lazy, name), name
 
 class TestFiberSlice:
     @settings(max_examples=300, deadline=None)

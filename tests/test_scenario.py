@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -35,6 +36,43 @@ def test_full_scenario_round_trip():
         back = parse_scenario(text)
         assert back == sc
         assert serialize_scenario(back) == text
+
+
+def _fractions(sc):
+    """Every Fraction a parsed scenario holds, as the objects themselves."""
+    out = []
+    for f in sc.space.fibers:
+        m = f.measure
+        out += [f.weight, *m.breakpoints, *m.densities, *(x for atom in m.atoms for x in atom)]
+    for event in sc.sets.values():
+        for s in event.slices:
+            out += [x for pair in s.intervals for x in pair] + list(s.picks)
+    out += list(sc.h or ())
+    if sc.measures is not None:
+        family = sc.measures
+        out += [x for c in family.cells for x in (c.lo, c.hi)]
+        out += [v for row in family.masses for v in row] + list(family.weights)
+    return out
+
+
+def test_parses_share_no_state():
+    """Each parse reads its rationals afresh: a second, different
+    scenario parses equal to the scenario it was written from and holds
+    none of the Fraction objects of the parse before it."""
+    rng = rng_for(29, "unit-two-parses")
+    for _ in range(10):
+        first, second = generate_scenario(rng), generate_scenario(rng)
+        kept = parse_scenario(serialize_scenario(first))
+        again = parse_scenario(serialize_scenario(second))
+        assert again == second
+        seen = {id(x) for x in _fractions(kept)}
+        assert not any(id(x) in seen for x in _fractions(again))
+
+
+def test_a_repeated_string_is_read_once_per_parse():
+    sc = parse_scenario((Path(__file__).parent / "golden" / "readme.json").read_text())
+    halves = [x for x in _fractions(sc) if x == F(1, 2)]
+    assert len(halves) > 5 and all(x is halves[0] for x in halves)
 
 
 def test_rejects_bad_weight_sum():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import grid_mass, grid_space_measure, leftmost_preimage
+from oracles import grid_mass, grid_space_measure, leftmost_preimage, point_in
 
 from condatom import (
     EventSet,
@@ -273,6 +273,53 @@ class TestCombine:
         out = a.union(b)
         rebuilt = EventSet(tuple(FiberSlice(s.intervals, s.picks) for s in out.slices))
         assert rebuilt == out
+
+    def test_symmetric_difference_examples(self):
+        touching = EventSet((FiberSlice(((0, F(1, 2)),), picks=(F(1, 4),)),))
+        after = EventSet((FiberSlice(((F(1, 2), 1),), picks=(F(1, 4), F(3, 4))),))
+        assert touching.symmetric_difference(after) == EventSet(
+            (FiberSlice(((0, 1),), picks=(F(3, 4),)),)
+        )
+        outer = EventSet((FiberSlice(((0, 1),)),))
+        inner = EventSet((FiberSlice(((F(1, 4), F(1, 2)),)),))
+        expected = EventSet((FiberSlice(((0, F(1, 4)), (F(1, 2), 1))),))
+        assert outer.symmetric_difference(inner) == expected
+        assert inner.symmetric_difference(outer) == expected
+        assert outer.symmetric_difference(outer) == EventSet((FiberSlice(),))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 3))
+    def test_symmetric_difference_agrees_with_membership(self, data, n_fibers):
+        """Endpoints and picks from one small pool, so intervals of the two
+        events often touch, nest or coincide, and picks often repeat."""
+        pool = st.sampled_from([F(k, 8) for k in range(9)] + [F(1, 3), F(2, 3)])
+
+        def event():
+            return EventSet(
+                tuple(
+                    FiberSlice(
+                        tuple(
+                            (a, b)
+                            for a, b in data.draw(st.lists(st.tuples(pool, pool), max_size=4))
+                            if a < b
+                        ),
+                        tuple(data.draw(st.lists(pool, max_size=3))),
+                    )
+                    for _ in range(n_fibers)
+                )
+            )
+
+        a, b = event(), event()
+        out = a.symmetric_difference(b)
+        assert out == a.difference(b).union(b.difference(a))
+        for sa, sb, so in zip(a.slices, b.slices, out.slices):
+            assert FiberSlice(so.intervals, so.picks) == so  # canonical and sorted
+            assert so.picks == tuple(sorted(set(sa.picks) ^ set(sb.picks)))
+            ends = sorted({x for s in (sa, sb) for pair in s.intervals for x in pair} | {0, 1})
+            for x in ends + [(x + y) / 2 for x, y in zip(ends, ends[1:])]:
+                assert point_in(so.intervals, x) == (
+                    point_in(sa.intervals, x) != point_in(sb.intervals, x)
+                )
 
     def test_subset_examples(self, two_fiber_space):
         a = both(((0, F(1, 2)),))
