@@ -70,7 +70,7 @@ def test_parses_share_no_state():
 
 
 def test_a_repeated_string_is_read_once_per_parse():
-    sc = parse_scenario((Path(__file__).parent / "golden" / "readme.json").read_text())
+    sc = parse_scenario((Path(__file__).parent / "golden" / "readme.json").read_text("utf-8"))
     halves = [x for x in _fractions(sc) if x == F(1, 2)]
     assert len(halves) > 5 and all(x is halves[0] for x in halves)
 
