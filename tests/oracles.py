@@ -272,3 +272,61 @@ def intersection_mass_nodes(measure, intervals):
             ts.append(t)
             vs.append(diffuse_in(measure, [(lo, min(hi, y)) for lo, hi in intervals]))
     return tuple(ts), tuple(vs)
+
+
+# The generator's draws as first written, on Fractions throughout. The
+# generator may compute differently, but for every seed it must make the
+# same rng calls in the same order and build equal values.
+GENERATOR_DENOMINATORS = (8, 12, 16, 24, 32, 48, 64)
+
+
+def reference_grid_points(rng, den: int, count: int) -> list:
+    ks = rng.sample(range(1, den), min(count, den - 1))
+    return sorted(Fraction(k, den) for k in ks)
+
+
+def reference_measure_fields(rng, max_pieces: int, atom_probability: float):
+    """(atoms, breakpoints, densities) of one generated fiber measure:
+    a grid of cuts, small raw densities and atom weights, normalized by
+    exact division by their total mass."""
+    den = rng.choice(GENERATOR_DENOMINATORS)
+    pieces = rng.randint(1, max_pieces)
+    cuts = reference_grid_points(rng, den, pieces - 1)
+    breakpoints = [Fraction(0)] + cuts + [Fraction(1)]
+    raw_density = [rng.randint(0, 6) for _ in range(len(breakpoints) - 1)]
+
+    atoms = []
+    if rng.random() < atom_probability:
+        n_atoms = rng.randint(1, 2)
+        locs = rng.sample(range(0, den + 1), n_atoms)
+        atoms = [(Fraction(k, den), rng.randint(1, 6)) for k in sorted(locs)]
+
+    def diffuse():
+        return sum(
+            Fraction(d) * (b - a)
+            for d, a, b in zip(raw_density, breakpoints, breakpoints[1:])
+        )
+
+    diffuse_raw = diffuse()
+    if diffuse_raw == 0 and not atoms:
+        raw_density[rng.randrange(len(raw_density))] = 1
+        diffuse_raw = diffuse()
+    total = diffuse_raw + sum(Fraction(w) for _, w in atoms)
+    return (
+        tuple((loc, Fraction(w) / total) for loc, w in atoms),
+        tuple(breakpoints),
+        tuple(Fraction(d) / total for d in raw_density),
+    )
+
+
+def reference_slice_fields(rng, atom_locations):
+    """(intervals, picks) of one generated fiber slice: an even number of
+    grid points paired in order, and each atom picked with chance 1/2."""
+    den = rng.choice(GENERATOR_DENOMINATORS)
+    n_pairs = rng.randint(0, 3)
+    points = reference_grid_points(rng, den, 2 * n_pairs)
+    if len(points) % 2:
+        points.pop()
+    intervals = tuple(zip(points[0::2], points[1::2]))
+    picks = tuple(loc for loc in atom_locations if rng.random() < 0.5)
+    return intervals, picks

@@ -1,4 +1,8 @@
+import random
+from pathlib import Path
+
 import pytest
+from oracles import reference_measure_fields, reference_slice_fields
 
 from condatom import InvariantError, is_conditionally_atomless
 from condatom.generate import (
@@ -6,12 +10,16 @@ from condatom.generate import (
     generate_event,
     generate_family,
     generate_instance,
+    generate_measure,
     generate_positive_event,
     generate_scenario,
     generate_space,
     positive_weights,
     rng_for,
 )
+from condatom.scenario import serialize_scenario
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_same_seed_gives_identical_instances():
@@ -81,3 +89,34 @@ def test_generate_instance_is_seed_deterministic():
     assert set(a.sets) == {"A", "C"}
     assert a.measures is not None
     assert a != generate_instance(22, with_family=True)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 8])
+def test_golden_generated_scenarios_are_regenerated_byte_for_byte(seed):
+    # the golden corpus holds generate_scenario(random.Random(seed)) as recorded
+    text = serialize_scenario(generate_scenario(random.Random(seed)))
+    assert text == (GOLDEN / f"generated-{seed}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("atom_probability", [0.0, 0.5, 1.0])
+def test_measures_follow_the_reference_random_stream(atom_probability):
+    # equal fields from the same draws, and the stream left at the same place
+    for seed in range(1000):
+        max_pieces = 1 + seed % 15
+        params = GeneratorParams(max_pieces=max_pieces, atom_probability=atom_probability)
+        rng, ref = random.Random(seed), random.Random(seed)
+        m = generate_measure(rng, params)
+        want = reference_measure_fields(ref, max_pieces, atom_probability)
+        assert (m.atoms, m.breakpoints, m.densities) == want, seed
+        assert rng.random() == ref.random(), seed
+
+
+def test_events_follow_the_reference_random_stream():
+    params = GeneratorParams(max_fibers=8, max_pieces=6, atom_probability=0.5)
+    for seed in range(300):
+        space = generate_space(random.Random(seed), params)
+        rng, ref = random.Random(seed), random.Random(seed)
+        event = generate_event(rng, space)
+        want = [reference_slice_fields(ref, f.measure.atom_locations) for f in space.fibers]
+        assert [(s.intervals, s.picks) for s in event.slices] == want, seed
+        assert rng.random() == ref.random(), seed
