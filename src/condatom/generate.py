@@ -3,10 +3,16 @@
 All randomness flows through one random.Random seeded by the caller, and
 every emitted object satisfies its type invariants exactly: raw integer
 masses are normalized by exact division, never by rounding.
+
+Points are drawn on a grid of step 1/den and kept as their ints k over
+den until the constructors are called: sorting, summing and normalizing
+are int operations, and each emitted value is one Fraction built from
+ints. The constructors still check every invariant of what they get.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,38 +61,42 @@ def rng_for(seed, label: str) -> random.Random:
     return random.Random(f"{seed}/{label}")
 
 
-def _grid_points(rng: random.Random, den: int, count: int) -> list[Fraction]:
+def _grid_ints(rng: random.Random, den: int, count: int) -> list[int]:
+    """count distinct ints of 1..den-1 (all of them if there are fewer),
+    increasing: the numerators of interior points of the 1/den grid."""
     ks = rng.sample(range(1, den), min(count, den - 1))
-    return sorted(Fraction(k, den) for k in ks)
+    ks.sort()
+    return ks
+
+
+def _grid_points(rng: random.Random, den: int, count: int) -> list[Fraction]:
+    return [Fraction(k, den) for k in _grid_ints(rng, den, count)]
 
 
 def generate_measure(rng: random.Random, params: GeneratorParams) -> FiberMeasure:
     den = rng.choice(_DENOMINATORS)
     pieces = rng.randint(1, params.max_pieces)
-    cuts = _grid_points(rng, den, pieces - 1)
-    breakpoints = [ZERO] + cuts + [ONE]
-    raw_density = [rng.randint(0, 6) for _ in range(len(breakpoints) - 1)]
+    cuts = _grid_ints(rng, den, pieces - 1)
+    widths = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
+    raw_density = [rng.randint(0, 6) for _ in widths]
 
-    atoms: list[tuple[Fraction, int]] = []
+    atoms: list[tuple[int, int]] = []  # (location * den, raw weight)
     if rng.random() < params.atom_probability:
         n_atoms = rng.randint(1, 2)
         locs = rng.sample(range(0, den + 1), n_atoms)
-        atoms = [(Fraction(k, den), rng.randint(1, 6)) for k in sorted(locs)]
+        atoms = [(k, rng.randint(1, 6)) for k in sorted(locs)]
 
-    diffuse_raw = sum(
-        Fraction(d) * (b - a) for d, a, b in zip(raw_density, breakpoints, breakpoints[1:])
-    )
-    if diffuse_raw == 0 and not atoms:
-        raw_density[rng.randrange(len(raw_density))] = 1
-        diffuse_raw = sum(
-            Fraction(d) * (b - a)
-            for d, a, b in zip(raw_density, breakpoints, breakpoints[1:])
-        )
-    total = diffuse_raw + sum(Fraction(w) for _, w in atoms)
+    # masses times den: the raw density integral, and with the atoms the total
+    diffuse = sum(map(operator.mul, raw_density, widths))
+    if diffuse == 0 and not atoms:
+        j = rng.randrange(len(raw_density))
+        raw_density[j] = 1
+        diffuse = widths[j]
+    total = diffuse + den * sum(w for _, w in atoms)
     return FiberMeasure(
-        atoms=tuple((loc, Fraction(w) / total) for loc, w in atoms),
-        breakpoints=tuple(breakpoints),
-        densities=tuple(Fraction(d) / total for d in raw_density),
+        atoms=tuple((Fraction(k, den), Fraction(w * den, total)) for k, w in atoms),
+        breakpoints=(ZERO, *[Fraction(k, den) for k in cuts], ONE),
+        densities=tuple([Fraction(d * den, total) for d in raw_density]),
     )
 
 
@@ -104,10 +114,11 @@ def generate_space(rng: random.Random, params: GeneratorParams) -> FiberedSpace:
 def _random_slice(rng: random.Random, measure: FiberMeasure) -> FiberSlice:
     den = rng.choice(_DENOMINATORS)
     n_pairs = rng.randint(0, 3)
-    points = _grid_points(rng, den, 2 * n_pairs)
-    if len(points) % 2:
-        points.pop()
-    intervals = tuple(zip(points[0::2], points[1::2]))
+    ks = _grid_ints(rng, den, 2 * n_pairs)
+    # consecutive points pair up; zip drops an odd last one
+    intervals = tuple(
+        [(Fraction(a, den), Fraction(b, den)) for a, b in zip(ks[0::2], ks[1::2])]
+    )
     picks = tuple(loc for loc in measure.atom_locations if rng.random() < 0.5)
     return FiberSlice(intervals, picks)
 
