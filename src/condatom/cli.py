@@ -31,7 +31,6 @@ from .scenario import (
     parse_scenario,
     report_to_text,
 )
-from .selftest import report_data, run_all
 from .space import InvariantError, MismatchError
 from .splitting import AtomObstruction, shrink_sequence, split, verdict_holds
 # not called here; bound because the benchmark's CLI_STEPS wraps them
@@ -264,6 +263,9 @@ def _cmd_densities(scenario: Scenario, opts: dict) -> dict:
 
 
 def _cmd_selftest(scenario: Scenario | None, opts: dict) -> dict:
+    # imported here, so that the scenario commands do not load the criteria
+    from .selftest import report_data, run_all
+
     seed = opts.get("seed")
     seed = 42 if seed is None else seed
     count = _int_input(opts, "count", {}, "count", 200, minimum=1, cap=MAX_INSTANCES)

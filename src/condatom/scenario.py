@@ -151,7 +151,7 @@ class _Rationals(dict):
 
 
 def format_scalar(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value) if type(value) is Fraction else str(Fraction(value))
 
 
 def _expect(obj, typ, where: str):
@@ -269,12 +269,29 @@ def _parse_family(obj, read: _Rationals) -> MeasureFamily:
 
 
 def _check_params(obj) -> dict:
+    """params as a dict, refusing a float at any depth. A float is located
+    by its path (params.x[0][0], params.x.y), except that a value of
+    params or an entry of a list value is located at the key. The walk
+    keeps its own stack, since json.loads accepts nesting close to the
+    recursion limit, and each entry's location is a (parent, key or
+    index) link, spelled out only when it fails."""
     _expect(obj, dict, "params")
-    for key, value in obj.items():
+    stack = [(value, (None, key)) for key, value in reversed(obj.items())]
+    while stack:
+        value, at = stack.pop()
         if isinstance(value, float):
-            raise ScenarioError(f"params.{key}: floats are not exact")
-        if isinstance(value, list) and any(isinstance(v, float) for v in value):
-            raise ScenarioError(f"params.{key}: floats are not exact")
+            parent, part = at
+            if parent is not None and parent[0] is None and type(part) is int:
+                at = parent
+            where = []
+            while at is not None:
+                at, part = at
+                where.append(f"[{part}]" if type(part) is int else f".{part}")
+            raise ScenarioError(f"params{''.join(reversed(where))}: floats are not exact")
+        if type(value) is list:
+            stack.extend((value[j], (at, j)) for j in range(len(value) - 1, -1, -1))
+        elif type(value) is dict:
+            stack.extend((v, (at, k)) for k, v in reversed(value.items()))
     return dict(obj)
 
 

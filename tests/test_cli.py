@@ -211,6 +211,11 @@ class TestCommandLine:
             runs.append(out.read_bytes())
         assert runs[0] == runs[1]
 
+    def test_importing_the_cli_leaves_selftest_unloaded(self):
+        code = "import sys, condatom.cli; print('condatom.selftest' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (res.returncode, res.stdout, res.stderr) == (0, "False\n", "")
+
 
 def test_main_returns_exit_code(scenario_file, capsys):
     assert main(["check", "--scenario", str(scenario_file)]) == 0

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from condatom import InvariantError, ScenarioError, parse_scenario, serialize_scenario
 from condatom.generate import generate_scenario, rng_for
-from condatom.scenario import parse_scalar
+from condatom.scenario import format_scalar, parse_scalar
 
 F = Fraction
 
@@ -120,6 +121,52 @@ def test_rejects_floats():
     )
     with pytest.raises(ScenarioError, match="not an exact rational"):
         parse_scenario(text)
+
+
+def _with_params(params) -> str:
+    return MINIMAL.rstrip()[:-1] + ', "params": ' + params + "}"
+
+
+@pytest.mark.parametrize(
+    "params,where",
+    [
+        ({"x": 1.5}, "params.x"),
+        ({"x": [1.5]}, "params.x"),
+        ({"x": [[1.5]]}, "params.x[0][0]"),
+        ({"x": {"y": 1.5}}, "params.x.y"),
+        ({"x": {"y": [1.5]}}, "params.x.y[0]"),
+        ({"x": [0, {"y": [2, 1.5]}]}, "params.x[1].y[1]"),
+        ({"a": [[1], 2], "b": {"c": [3, [4, 0.5]]}, "d": 2.5}, "params.b.c[1][1]"),
+    ],
+)
+def test_params_refuse_floats_at_any_depth(params, where):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(_with_params(json.dumps(params)))
+    assert str(err.value) == f"{where}: floats are not exact"
+
+
+def test_params_without_floats_are_kept_at_any_depth():
+    params = {"x": [[1, "1/2"], {"y": [True, None]}], "z": {"w": {}}}
+    assert parse_scenario(_with_params(json.dumps(params))).params == params
+
+
+def test_params_float_is_found_at_the_deepest_nesting_json_reads():
+    # the walk does not recurse, so the deepest list json.loads accepts
+    # is located, not turned into a RecursionError
+    for depth in range(sys.getrecursionlimit(), 1, -10):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(_with_params('{"x": ' + "[" * depth + "1.5" + "]" * depth + "}"))
+        if not str(err.value).startswith("parse error"):
+            break
+    assert depth > sys.getrecursionlimit() // 2
+    assert str(err.value) == f"params.x{'[0]' * depth}: floats are not exact"
+
+
+def test_format_scalar_writes_a_fraction_as_it_is_and_coerces_the_rest():
+    assert format_scalar(F(-3, 4)) == "-3/4"
+    assert format_scalar(F(8, 4)) == "2"
+    assert format_scalar(5) == "5"
+    assert format_scalar("6/8") == "3/4"
 
 
 def test_rejects_unknown_keys():
