@@ -6,9 +6,8 @@ masses are normalized by exact division, never by rounding.
 
 Points are drawn on a grid of step 1/den and kept as their ints k over
 den until the constructors are called: sorting, summing and normalizing
-are int operations, each point is read from a table of the grid's
-Fractions, and each mass is one Fraction built from ints. The
-constructors still check every invariant of what they get.
+are int operations, and each emitted value is one Fraction built from
+ints. The constructors still check every invariant of what they get.
 """
 
 from __future__ import annotations
@@ -34,9 +33,6 @@ MAX_PIECES = 15  # 16 breakpoints
 MAX_MEASURES = 4
 
 _DENOMINATORS = (8, 12, 16, 24, 32, 48, 64)
-# k/den for k in 0..den, by den: every grid point is one of these, so
-# the generator reads its points here instead of building them again
-_GRID = {den: tuple(Fraction(k, den) for k in range(den + 1)) for den in _DENOMINATORS}
 
 
 @dataclass(frozen=True)
@@ -74,7 +70,7 @@ def _grid_ints(rng: random.Random, den: int, count: int) -> list[int]:
 
 
 def _grid_points(rng: random.Random, den: int, count: int) -> list[Fraction]:
-    return list(map(_GRID[den].__getitem__, _grid_ints(rng, den, count)))
+    return [Fraction(k, den) for k in _grid_ints(rng, den, count)]
 
 
 def generate_measure(rng: random.Random, params: GeneratorParams) -> FiberMeasure:
@@ -97,10 +93,9 @@ def generate_measure(rng: random.Random, params: GeneratorParams) -> FiberMeasur
         raw_density[j] = 1
         diffuse = widths[j]
     total = diffuse + den * sum(w for _, w in atoms)
-    grid = _GRID[den]
     return FiberMeasure(
-        atoms=tuple((grid[k], Fraction(w * den, total)) for k, w in atoms),
-        breakpoints=(ZERO, *map(grid.__getitem__, cuts), ONE),
+        atoms=tuple((Fraction(k, den), Fraction(w * den, total)) for k, w in atoms),
+        breakpoints=(ZERO, *[Fraction(k, den) for k in cuts], ONE),
         densities=tuple([Fraction(d * den, total) for d in raw_density]),
     )
 
@@ -120,9 +115,10 @@ def _random_slice(rng: random.Random, measure: FiberMeasure) -> FiberSlice:
     den = rng.choice(_DENOMINATORS)
     n_pairs = rng.randint(0, 3)
     ks = _grid_ints(rng, den, 2 * n_pairs)
-    grid = _GRID[den]
     # consecutive points pair up; zip drops an odd last one
-    intervals = tuple([(grid[a], grid[b]) for a, b in zip(ks[0::2], ks[1::2])])
+    intervals = tuple(
+        [(Fraction(a, den), Fraction(b, den)) for a, b in zip(ks[0::2], ks[1::2])]
+    )
     picks = tuple(loc for loc in measure.atom_locations if rng.random() < 0.5)
     return FiberSlice(intervals, picks)
 
