@@ -268,6 +268,44 @@ class TestShrinkSequence:
         with pytest.raises(ValueError, match="zero slice mass"):
             shrink_sequence(space, space.empty_event(), frozenset({0}), 1)
 
+    def test_zero_mass_is_reported_before_an_earlier_obstruction(self):
+        # fiber 0 holds a lone picked atom, which blocks the first halving;
+        # fiber 1 is empty, and its zero mass is the error
+        atomic = FiberMeasure(atoms=((F(1, 4), F(1, 2)),), densities=(F(1, 2),))
+        space = FiberedSpace((Fiber(F(1, 2), atomic), Fiber(F(1, 2), LEBESGUE)))
+        c = EventSet((FiberSlice(picks=(F(1, 4),)), FiberSlice()))
+        with pytest.raises(ValueError, match="fiber 1 has zero slice mass"):
+            shrink_sequence(space, c, frozenset({0, 1}), 1)
+
+    def test_zero_steps_refuse_zero_mass_but_never_split(self):
+        atomic = FiberMeasure(atoms=((F(1, 4), F(1, 2)),), densities=(F(1, 2),))
+        space = FiberedSpace((Fiber(F(1, 2), atomic), Fiber(F(1, 2), LEBESGUE)))
+        blocked = EventSet((FiberSlice(picks=(F(1, 4),)), FiberSlice()))
+        with pytest.raises(ValueError, match="fiber 1 has zero slice mass"):
+            shrink_sequence(space, blocked, frozenset({1}), 0)
+        assert shrink_sequence(space, blocked, frozenset({0}), 0) == [blocked]
+        with pytest.raises(AtomObstruction):
+            shrink_sequence(space, blocked, frozenset({0}), 1)
+
+    def test_obstruction_names_the_first_blocked_fiber(self):
+        # fibers 1 and 2 are both blocked: each slice is mostly a picked atom
+        atomic = FiberMeasure(atoms=((F(1, 4), F(3, 4)),), densities=(F(1, 4),))
+        other = FiberMeasure(atoms=((F(1, 8), F(1, 2)),), densities=(F(1, 2),))
+        space = FiberedSpace(
+            (Fiber(F(1, 3), LEBESGUE), Fiber(F(1, 3), atomic), Fiber(F(1, 3), other))
+        )
+        c = EventSet(
+            (
+                FiberSlice(((0, 1),)),
+                FiberSlice(((0, F(1, 2)),), (F(1, 4),)),
+                FiberSlice(picks=(F(1, 8),)),
+            )
+        )
+        with pytest.raises(AtomObstruction) as exc:
+            shrink_sequence(space, c, frozenset({0, 1, 2}), 3)
+        assert (exc.value.fiber, exc.value.location) == (1, F(1, 4))
+        assert str(exc.value) == obstruction_message(1, F(1, 4))
+
 
 def reference_split(space, event, hs):
     """split rebuilt on the reference left fill; an obstruction comes back
@@ -313,6 +351,26 @@ def split_or_obstruction(space, event, hs):
         return ("obstruction", e.fiber, e.location)
 
 
+def reference_chain(space, event, fibers, n):
+    """shrink_sequence as n reference halvings on the designated fibers;
+    an obstruction comes back as ("obstruction", fiber, location)."""
+    halves = tuple(F(1, 2) if i in fibers else F(1) for i in range(space.n_fibers))
+    chain = [event]
+    for _ in range(n):
+        step = reference_split(space, chain[-1], halves)
+        if isinstance(step, tuple):
+            return step
+        chain.append(step)
+    return chain
+
+
+def shrink_or_obstruction(space, event, fibers, n):
+    try:
+        return shrink_sequence(space, event, fibers, n)
+    except AtomObstruction as e:
+        return ("obstruction", e.fiber, e.location)
+
+
 class TestAgainstReferenceLeftFill:
     """split, strict_split_witness and shrink_sequence give exactly the sets
     of the reference left fill in tests/oracles.py, which walks the density
@@ -336,6 +394,10 @@ class TestAgainstReferenceLeftFill:
             for _ in range(3):
                 expected.append(reference_split(space, expected[-1], halves))
             assert shrink_sequence(space, diffuse_c, fibers, 3) == expected
+            positive = frozenset(i for i, v in enumerate(space.cond_expectation(c)) if v > 0)
+            assert shrink_or_obstruction(space, c, positive, 3) == reference_chain(
+                space, c, positive, 3
+            )
 
     @pytest.mark.parametrize(
         "measure,intervals,h,expected",
