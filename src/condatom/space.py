@@ -195,7 +195,7 @@ class FiberMeasure:
         return diffuse + self.pick_mass(part.picks) if part.picks else diffuse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiberSlice:
     """One fiber's share of an event.
 
@@ -231,16 +231,18 @@ class FiberSlice:
         for p in picks:
             if not 0 <= p.numerator <= p.denominator:
                 raise InvariantError(f"pick {p} outside [0,1]")
-        object.__setattr__(self, "intervals", raw if ordered else canonical(raw))
-        object.__setattr__(self, "picks", picks)
+        _set_intervals(self, raw if ordered else canonical(raw))
+        _set_picks(self, picks)
 
     @classmethod
     def trusted(cls, intervals: IntervalList, picks: tuple[Fraction, ...] = ()) -> FiberSlice:
         """Wrap values that are already canonical Fractions, skipping the
-        constructor's coercion; internal fast path for derived slices."""
+        constructor's coercion and checks; internal fast path for derived
+        slices. Both slots are set through their descriptors, which is
+        what object.__setattr__ would reach past the frozen __setattr__."""
         out = object.__new__(cls)
-        object.__setattr__(out, "intervals", intervals)
-        object.__setattr__(out, "picks", picks)
+        _set_intervals(out, intervals)
+        _set_picks(out, picks)
         return out
 
     @property
@@ -248,18 +250,28 @@ class FiberSlice:
         return not self.intervals and not self.picks
 
 
-@dataclass(frozen=True)
+_set_intervals = FiberSlice.intervals.__set__
+_set_picks = FiberSlice.picks.__set__
+
+# The empty slice, shared: slices are immutable, so one object serves
+# every empty fiber of every event.
+EMPTY_SLICE = FiberSlice.trusted(())
+
+
+@dataclass(frozen=True, slots=True)
 class EventSet:
-    """An event: one canonical FiberSlice per fiber."""
+    """An event: one canonical FiberSlice per fiber. slices is kept as
+    given when it is a tuple, and made one otherwise."""
 
     slices: tuple[FiberSlice, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "slices", tuple(self.slices))
+        if type(self.slices) is not tuple:
+            _set_slices(self, tuple(self.slices))
 
     @classmethod
     def empty(cls, n_fibers: int) -> EventSet:
-        return cls(tuple(FiberSlice() for _ in range(n_fibers)))
+        return cls((EMPTY_SLICE,) * n_fibers)
 
     @property
     def n_fibers(self) -> int:
@@ -311,6 +323,9 @@ class EventSet:
             if not is_subset(a.intervals, b.intervals):
                 return False
         return True
+
+
+_set_slices = EventSet.slices.__set__
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .intervals import ONE, ZERO
 from .space import (
+    EMPTY_SLICE,
     EventSet,
     FiberedSpace,
     FiberFunction,
@@ -127,20 +128,26 @@ def _slice_mass(measure: FiberMeasure, part: FiberSlice, reading) -> tuple[int, 
     return diffuse * picked.denominator + picked.numerator * den, picked.denominator
 
 
+def _require_reachable(part: FiberSlice, reading, target: int, scale: int, fiber: int):
+    """Raise AtomObstruction at the slice's first pick when target / (den *
+    scale) exceeds its diffuse mass, which reading is over den."""
+    if target > reading[1] * scale:
+        # target <= total, so total > diffuse: the slice holds a picked atom
+        raise AtomObstruction(fiber, part.picks[0])
+
+
 def _split_slice(measure: FiberMeasure, part: FiberSlice, h: Fraction, fiber: int) -> FiberSlice:
     if h.numerator == h.denominator:
         return part
     if not h.numerator:
-        return FiberSlice()
+        return EMPTY_SLICE
     reading = measure.table.spans(part.intervals)
     total, b = _slice_mass(measure, part, reading)
     if total == 0:
-        return FiberSlice()
+        return EMPTY_SLICE
     # h times the slice mass, over den * b * h.denominator
     target, scale = h.numerator * total, b * h.denominator
-    if target > reading[1] * scale:
-        # total > diffuse, so the slice holds at least one picked atom
-        raise AtomObstruction(fiber, part.picks[0])
+    _require_reachable(part, reading, target, scale, fiber)
     return FiberSlice.trusted(_left_fill(measure, part.intervals, reading, target, scale))
 
 
@@ -198,7 +205,7 @@ def strict_split_witness(
     out = []
     for fiber, part, r in zip(space.fibers, event.slices, readings):
         if r is None:
-            out.append(FiberSlice())
+            out.append(EMPTY_SLICE)
         elif r[1] > 0:
             m = fiber.measure
             total, b = _slice_mass(m, part, r)
@@ -223,7 +230,7 @@ def verdict_holds(space: FiberedSpace, report: KernelReport) -> bool:
         return all(c == 1 for c in space.cond_expectation(line))
     if not 0 <= w.fiber < space.n_fibers:
         return False
-    slices = [FiberSlice()] * space.n_fibers
+    slices = [EMPTY_SLICE] * space.n_fibers
     slices[w.fiber] = FiberSlice.trusted((), (w.location,))
     alone = EventSet(tuple(slices))
     try:
@@ -244,19 +251,39 @@ def shrink_sequence(
 ) -> list[EventSet]:
     """Nested events B_0 = C, B_1, ..., B_n with mass halved exactly at each
     step on the designated fibers and left untouched elsewhere, so
-    0 < mass(B_k) <= 2**-k there."""
+    0 < mass(B_k) <= 2**-k there.
+
+    On a designated fiber B_k is the left fill of C's intervals up to
+    2**-k times C's mass, which is what n repeated halvings give: halving
+    the prefix B_(k-1) walks the same intervals with the same readings up
+    to its cut, so it stops in the same interval at the same leftmost
+    preimage. The slice is therefore read once, one spans pass and one
+    mass, and every step is one left fill of that reading. Only the first
+    halving can meet a picked atom, since B_1 keeps no picks.
+    """
     if n < 0:
         raise InvariantError(f"sequence length {n} must be >= 0")
     fibers = frozenset(fibers)
     for i in fibers:
         if not 0 <= i < space.n_fibers:
             raise InvariantError(f"fiber index {i} out of range")
-    cond = space.cond_expectation(event)
+    space.validate_event(event)
+    # per designated fiber, in index order: the spans and the slice mass
+    # as an int total over den * b
+    reads = {}
+    for i in sorted(fibers):
+        m, part = space.fibers[i].measure, event.slices[i]
+        reading = m.table.spans(part.intervals)
+        reads[i] = (reading, *_slice_mass(m, part, reading))
     for i in fibers:
-        if cond[i] == 0:
+        if reads[i][1] == 0:
             raise InvariantError(f"fiber {i} has zero slice mass")
-    hs = tuple(HALF if i in fibers else Fraction(1) for i in range(space.n_fibers))
-    out = [event]
-    for _ in range(n):
-        out.append(split(space, out[-1], hs))
-    return out
+    steps = [list(event.slices) for _ in range(n)]
+    for i, (reading, total, b) in reads.items():
+        m, part = space.fibers[i].measure, event.slices[i]
+        if n:
+            _require_reachable(part, reading, total, 2 * b, i)
+        # B_k holds total / 2**k, over den * (b << k)
+        for k, slices in enumerate(steps, 1):
+            slices[i] = FiberSlice.trusted(_left_fill(m, part.intervals, reading, total, b << k))
+    return [event] + [EventSet(tuple(slices)) for slices in steps]

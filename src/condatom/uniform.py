@@ -28,6 +28,7 @@ from fractions import Fraction
 from .intervals import ONE, ZERO, int_keys
 from .piecewise import PiecewiseLinear
 from .space import (
+    EMPTY_SLICE,
     EventSet,
     FiberedSpace,
     FiberSlice,
@@ -131,7 +132,7 @@ def level_set(rv: UniformRV, t) -> EventSet:
     t = as_fraction(t)
     p, q = t.numerator, t.denominator
     if p <= 0:
-        return EventSet(tuple(FiberSlice() for _ in rv.cdfs))
+        return EventSet((EMPTY_SLICE,) * len(rv.cdfs))
     return EventSet(tuple(FiberSlice.trusted(((ZERO, u.preimage(p, q)),)) for u in rv.cdfs))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -14,9 +15,13 @@ from condatom import (
     FiberSlice,
     InvariantError,
     MismatchError,
+    build_uniform,
+    level_set,
+    set_at_level,
+    split,
 )
-from condatom.generate import generate_space
-from condatom.selftest import FULL_MIXED
+from condatom.generate import generate_event, generate_positive_event, generate_space, rng_for
+from condatom.selftest import FULL_ATOMLESS, FULL_MIXED
 
 F = Fraction
 
@@ -326,3 +331,49 @@ class TestCombine:
         assert two_fiber_space.empty_event().is_subset(a)
         assert a.is_subset(both(((0, 1),)))
         assert not a.is_subset(both(((F(1, 4), 1),)))
+
+
+class TestValueTypes:
+    """FiberSlice and EventSet are frozen slotted values: the trusted path
+    and the shared empty slice give objects equal to checked ones."""
+
+    def test_assignment_is_refused(self):
+        part = FiberSlice(((0, F(1, 2)),))
+        event = EventSet((part,))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            part.intervals = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            FiberSlice.trusted(()).picks = (F(1, 2),)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.slices = ()
+
+    def test_trusted_slices_equal_checked_ones(self):
+        rng = rng_for(17, "unit-trusted-slices")
+        for _ in range(40):
+            space = generate_space(rng, FULL_MIXED)
+            event = generate_positive_event(rng, space).union(generate_event(rng, space))
+            for part in event.slices:
+                checked = FiberSlice(part.intervals, part.picks)
+                trusted = FiberSlice.trusted(part.intervals, part.picks)
+                assert trusted == checked
+                assert hash(trusted) == hash(checked)
+
+    def test_slices_are_held_as_a_tuple(self):
+        parts = [FiberSlice(((0, F(1, 2)),)), FiberSlice()]
+        from_list = EventSet(parts)
+        from_generator = EventSet(p for p in parts)
+        assert type(from_list.slices) is tuple
+        assert type(from_generator.slices) is tuple
+        assert from_list == from_generator == EventSet(tuple(parts))
+
+    def test_empty_events_equal_checked_empty_slices(self):
+        rng = rng_for(19, "unit-empty-events")
+        for _ in range(10):
+            space = generate_space(rng, FULL_ATOMLESS)
+            n = space.n_fibers
+            empty = EventSet(tuple(FiberSlice() for _ in range(n)))
+            assert EventSet.empty(n) == empty
+            assert set_at_level(space, 0) == empty
+            assert level_set(build_uniform(space), 0) == empty
+            c = generate_positive_event(rng, space)
+            assert split(space, c, (0,) * n) == empty
