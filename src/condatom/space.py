@@ -237,9 +237,8 @@ class FiberSlice:
     @classmethod
     def trusted(cls, intervals: IntervalList, picks: tuple[Fraction, ...] = ()) -> FiberSlice:
         """Wrap values that are already canonical Fractions, skipping the
-        constructor's coercion and checks; internal fast path for derived
-        slices. Both slots are set through their descriptors, which is
-        what object.__setattr__ would reach past the frozen __setattr__."""
+        constructor's coercion and checks; the internal fast path for
+        derived slices sets both slots through their descriptors."""
         out = object.__new__(cls)
         _set_intervals(out, intervals)
         _set_picks(out, picks)
@@ -267,7 +266,7 @@ class EventSet:
 
     def __post_init__(self):
         if type(self.slices) is not tuple:
-            _set_slices(self, tuple(self.slices))
+            object.__setattr__(self, "slices", tuple(self.slices))
 
     @classmethod
     def empty(cls, n_fibers: int) -> EventSet:
@@ -323,9 +322,6 @@ class EventSet:
             if not is_subset(a.intervals, b.intervals):
                 return False
         return True
-
-
-_set_slices = EventSet.slices.__set__
 
 
 @dataclass(frozen=True)

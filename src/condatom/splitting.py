@@ -14,6 +14,11 @@ Point masses can never be cut, so a strict interior target is reachable
 only through diffuse mass; when picked atoms make it unreachable the
 split raises AtomObstruction instead of approximating.
 
+A shrink chain B_0 = C, B_1, ..., B_n is n exact halvings, and on each
+designated fiber B_k is the left fill of C at 2**-k of its mass, which
+is equal to halving B_(k-1); shrink_sequence reads each slice once and
+makes every step one left fill of that reading.
+
 The fibers' point masses are read in one place, kernel_atom_scan: its
 KernelReport gives every atom verdict, and verdict_holds tests such a
 verdict against split and strict_split_witness.
