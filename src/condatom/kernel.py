@@ -13,18 +13,17 @@ carries either a constant density onto u's image of it or, where u is
 flat, a point mass; atoms carry their weights to their images, and
 Lebesgue mass beyond u's range counts -1. A test g's residual is g
 integrated against that signed measure, read off g's exact
-antiderivative. On an atomless space with its true CDFs the signed
-measure is 0, so every residual is exactly 0 without evaluating a test.
-Hat functions at every system node determine the whole pushforward,
-standing in for a dense family of continuous tests.
+antiderivative, g.antiderivative(). On an atomless space with its true
+CDFs the signed measure is 0, so every residual is exactly 0 without
+evaluating a test. Hat functions at every system node determine the
+whole pushforward, standing in for a dense family of continuous tests.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 
-from .intervals import ONE, ZERO
+from .intervals import ONE, ZERO, as_fraction
 from .piecewise import PiecewiseLinear
 from .space import FiberedSpace, FiberMeasure, InvariantError, MismatchError
 from .splitting import KernelReport, kernel_atom_scan  # re-exported: the kernel-level scan
@@ -58,21 +57,6 @@ def _signed_pushforward(measure: FiberMeasure, u: PiecewiseLinear):
     return masses, excess
 
 
-def _antiderivative(g: PiecewiseLinear):
-    """x -> the integral of g over [0, x]: trapezoids up to the node at
-    or below x, then the trapezoid from that node to x."""
-    xs, ys = g.xs, g.ys
-    cumulative = [ZERO]
-    for a, b, ya, yb in zip(xs, xs[1:], ys, ys[1:]):
-        cumulative.append(cumulative[-1] + (b - a) * (ya + yb) / 2)
-
-    def integral(x: Fraction) -> Fraction:
-        k = bisect_right(xs, x, 0, len(xs) - 1) - 1
-        return cumulative[k] + (x - xs[k]) * (ys[k] + g.at(x)) / 2
-
-    return integral
-
-
 def pushforward_uniformity_check(
     space: FiberedSpace, rv: UniformRV, tests
 ) -> tuple[tuple[Fraction, ...], ...]:
@@ -92,7 +76,7 @@ def pushforward_uniformity_check(
         for g in tests:
             residual = sum((w * g.at(v) for v, w in masses), ZERO)
             if excess:
-                G = _antiderivative(g)
+                G = g.antiderivative()
                 residual += sum((s * (G(hi) - G(lo)) for lo, hi, s in excess), ZERO)
             row.append(residual)
         rows.append(tuple(row))
@@ -108,19 +92,20 @@ def system_nodes(rv: UniformRV) -> tuple[Fraction, ...]:
 
 
 def hat_family(nodes) -> tuple[TestFunction, ...]:
-    """One tent per node: value 1 there, 0 at the neighbouring nodes and
-    beyond. Together the tents determine any piecewise-linear pushforward
-    with breakpoints among the nodes."""
-    nodes = tuple(sorted(nodes))
+    """One tent per distinct node: value 1 there, 0 at the neighbouring
+    distinct nodes and beyond. A tent's nodes are its node's window in
+    the sorted distinct nodes, padded with 0 and 1 where the window does
+    not reach them. Together the tents determine any piecewise-linear
+    pushforward with breakpoints among the nodes."""
+    nodes = sorted(set(map(as_fraction, nodes)))
     if len(nodes) < 2 or nodes[0] != 0 or nodes[-1] != 1:
-        raise InvariantError("nodes must be sorted and include 0 and 1")
+        raise InvariantError("nodes must include 0 and 1")
     tents = []
     for k, node in enumerate(nodes):
-        values = {ZERO: ZERO, ONE: ZERO}
-        if k > 0:
-            values[nodes[k - 1]] = ZERO
-        if k + 1 < len(nodes):
-            values[nodes[k + 1]] = ZERO
-        values[node] = ONE
-        tents.append(PiecewiseLinear.from_graph(values.items()))
+        xs = tuple(nodes[max(k - 1, 0) : k + 2])
+        if xs[0] != 0:
+            xs = (ZERO, *xs)
+        if xs[-1] != 1:
+            xs = (*xs, ONE)
+        tents.append(PiecewiseLinear.trusted(xs, tuple(ONE if x == node else ZERO for x in xs)))
     return tuple(tents)

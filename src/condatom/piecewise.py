@@ -3,7 +3,9 @@
 A PiecewiseLinear is the graph through its nodes together with that
 graph's integer image, which is built on the first read of any of its
 fields. Evaluation, leftmost preimages, the rises over a list of
-intervals and the monotonicity check all read those ints. A fiber's
+intervals and the monotonicity check all read those ints; the
+trapezoid antiderivative, which definite_integral and the kernel's
+pushforward check read, works on the Fractions. A fiber's
 cumulative diffuse mass (FiberMeasure.table) is one of these functions,
 made without checks by PiecewiseLinear.trusted, and is also the fiber's
 conditional CDF on the uniform side: each fiber CDF is one object.
@@ -57,8 +59,8 @@ class PiecewiseLinear:
     denominators, every y as an int over ly, and the slope of every
     piece as an int S[j] over unit = ly*W, where W is the lcm of the
     piece widths X[j+1] - X[j]. reading and preimage bisect those ints
-    instead of comparing Fractions, and take and give ints; forward and
-    inverse wrap them for Fraction arguments and results. Both are
+    instead of comparing Fractions, and take and give ints; forward
+    wraps reading for a Fraction argument and result. Both reads are
     exact: for x = p/q, x >= xs[j] holds exactly when p*lx // q >= X[j],
     and for t = p/q, t <= ys[k] exactly when ceil(p*ly / q) <= Y[k].
     """
@@ -97,20 +99,6 @@ class PiecewiseLinear:
             lx, X, ly, Y = image
             vars(out).update(lx=lx, X=X, ly=ly, Y=Y)
         return out
-
-    @classmethod
-    def from_graph(cls, points) -> PiecewiseLinear:
-        """Build from (x, y) pairs, collapsing duplicate x nodes."""
-        xs: list[Fraction] = []
-        ys: list[Fraction] = []
-        for x, y in sorted(points):
-            if xs and x == xs[-1]:
-                if y != ys[-1]:
-                    raise InvariantError(f"conflicting values at node {x}")
-                continue
-            xs.append(x)
-            ys.append(y)
-        return cls(tuple(xs), tuple(ys))
 
     @cached_property
     def nondecreasing(self) -> bool:
@@ -170,27 +158,34 @@ class PiecewiseLinear:
         dx = X[k] - X[k - 1]
         return Fraction(X[k - 1] * q * dy + dx * r, self.lx * q * dy)
 
-    def inverse(self, t) -> Fraction:
-        """preimage at the Fraction t."""
-        return self.preimage(t.numerator, t.denominator)
-
     def at(self, x) -> Fraction:
         x = as_fraction(x)
         if not 0 <= x.numerator <= x.denominator:
             raise ValueError(f"argument {x} outside [0,1]")
         return self.forward(x)
 
+    def antiderivative(self):
+        """x -> the integral of the graph over [0, x], x in [0, 1]:
+        trapezoids up to the node at or below x, then the trapezoid from
+        that node to x."""
+        xs, ys = self.xs, self.ys
+        cumulative = [ZERO]
+        for a, b, ya, yb in zip(xs, xs[1:], ys, ys[1:]):
+            cumulative.append(cumulative[-1] + (b - a) * (ya + yb) / 2)
+
+        def integral(x: Fraction) -> Fraction:
+            k = bisect_right(xs, x, 0, len(xs) - 1) - 1
+            return cumulative[k] + (x - xs[k]) * (ys[k] + self.at(x)) / 2
+
+        return integral
+
     def definite_integral(self, lo=ZERO, hi=ONE) -> Fraction:
-        """Exact integral over [lo, hi] via trapezoids on refined nodes."""
+        """Exact integral over [lo, hi], read off the antiderivative."""
         lo, hi = as_fraction(lo), as_fraction(hi)
         if not 0 <= lo <= hi <= 1:
             raise ValueError(f"bad integration range [{lo}, {hi}]")
-        pts = [lo] + [x for x in self.xs if lo < x < hi] + [hi]
-        total = ZERO
-        for a, b in zip(pts, pts[1:]):
-            if b > a:
-                total += (b - a) * (self.at(a) + self.at(b)) / 2
-        return total
+        integral = self.antiderivative()
+        return integral(hi) - integral(lo)
 
     def compose(self, inner: PiecewiseLinear) -> PiecewiseLinear:
         """The map y -> self(inner(y)); inner must be nondecreasing.
@@ -202,5 +197,6 @@ class PiecewiseLinear:
         if not inner.nondecreasing:
             raise ValueError("inner map must be nondecreasing")
         levels = [t for t in self.xs if inner.ys[0] < t <= inner.ys[-1]]
-        xs = tuple(sorted(set(inner.xs).union(map(inner.inverse, levels))))
+        cuts = (inner.preimage(t.numerator, t.denominator) for t in levels)
+        xs = tuple(sorted(set(inner.xs).union(cuts)))
         return PiecewiseLinear(xs, tuple(self.at(inner.at(x)) for x in xs))

@@ -144,7 +144,7 @@ class FiberMeasure:
     def atom_weight(self) -> dict[Fraction, Fraction]:
         return dict(self.atoms)
 
-    @property
+    @cached_property
     def atom_locations(self) -> tuple[Fraction, ...]:
         return tuple(loc for loc, _ in self.atoms)
 
@@ -275,10 +275,6 @@ class EventSet:
     @property
     def n_fibers(self) -> int:
         return len(self.slices)
-
-    @property
-    def is_empty(self) -> bool:
-        return all(s.empty for s in self.slices)
 
     def _check(self, other: EventSet):
         if len(self.slices) != len(other.slices):

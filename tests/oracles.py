@@ -114,6 +114,33 @@ def leftmost_preimage(xs, ys, t) -> Fraction:
     return xs[-1]
 
 
+def trapezoid_integral(xs, ys, lo, hi) -> Fraction:
+    """Integral over [lo, hi] of the graph through the nodes (xs, ys): a
+    trapezoid on each stretch between lo, the nodes strictly inside and
+    hi, with end values interpolated."""
+    pts = [lo] + [x for x in xs if lo < x < hi] + [hi]
+    total = Fraction(0)
+    for a, b in zip(pts, pts[1:]):
+        total += (b - a) * (interpolate(xs, ys, a) + interpolate(xs, ys, b)) / 2
+    return total
+
+
+def tent_at(nodes, k, x) -> Fraction:
+    """Value at x of the k-th tent over the sorted distinct nodes: 1 at
+    nodes[k], linear down to 0 at the nodes either side of it, 0 beyond
+    them."""
+    peak = nodes[k]
+    if x == peak:
+        return Fraction(1)
+    if x < peak:
+        if k == 0 or x <= nodes[k - 1]:
+            return Fraction(0)
+        return (x - nodes[k - 1]) / (peak - nodes[k - 1])
+    if k == len(nodes) - 1 or x >= nodes[k + 1]:
+        return Fraction(0)
+    return (nodes[k + 1] - x) / (nodes[k + 1] - peak)
+
+
 def pushforward_residuals(space, rv, tests):
     """Reference pushforward residuals: per fiber and test g, the
     integral of g(u(y)) against the fiber measure minus the integral of

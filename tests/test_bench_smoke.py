@@ -3,8 +3,9 @@
 Each workload runs once as the benchmark runs it, from the repository
 root with --seconds 0 (set-up plus the minimum rounds), and its last
 line of stdout must report a correct run with no failed operation. The
-events workload also runs under --trace 1, whose span wrappers replace
-methods on the package's classes, the slotted EventSet among them.
+events and cli workloads also run under --trace 1, whose span wrappers
+replace methods on the package's classes, the slotted EventSet among
+them; the traced cli run must reach the kernel's tents and residuals.
 """
 
 import json
@@ -43,3 +44,11 @@ def test_traced_events_run_reports_the_shrink_chains():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["metrics"]["splitting.shrink_sequence.calls"]["value"] > 0
+
+
+def test_traced_cli_run_reports_the_kernel_checks():
+    result = run_bench("cli", 1)
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["metrics"]["kernel.hat_family.calls"]["value"] > 0
+    assert result["metrics"]["kernel.pushforward_uniformity_check.calls"]["value"] > 0

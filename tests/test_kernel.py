@@ -14,6 +14,7 @@ from condatom import (
     FiberedSpace,
     FiberMeasure,
     FiberSlice,
+    InvariantError,
     KernelReport,
     MismatchError,
     PiecewiseLinear,
@@ -30,7 +31,7 @@ from condatom.cli import main
 from condatom.generate import GeneratorParams, generate_space, rng_for
 from condatom.selftest import FULL_ATOMLESS, FULL_MIXED, kernel_agreement
 from condatom.splitting import verdict_holds
-from oracles import pushforward_residuals
+from oracles import pushforward_residuals, tent_at, trapezoid_integral
 
 F = Fraction
 
@@ -325,6 +326,46 @@ class TestHatFamily:
         with pytest.raises(Exception, match="include 0 and 1"):
             hat_family((F(1, 4), F(1, 2)))
 
+    NODE_SETS = {
+        "distinct": (F(0), F(1, 3), F(1, 2), F(1)),
+        "unsorted": (F(1, 2), F(1), F(0), F(1, 8), F(3, 4)),
+        "duplicated": (F(0), F(1, 4), F(1, 2), F(1, 2), F(1)),
+        "ints": (1, 0, F(1, 2), 1, 0),
+        "endpoints": (0, 1),
+    }
+
+    @staticmethod
+    def check_against_reference(nodes):
+        """One tent per distinct node, made of distinct nodes the checked
+        constructor accepts, equal to the reference tent at every node
+        and every midpoint, which fixes a graph with those breakpoints."""
+        distinct = sorted({F(n) for n in nodes})
+        tents = hat_family(nodes)
+        assert len(tents) == len(distinct)
+        probes = distinct + [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
+        for k, tent in enumerate(tents):
+            assert PiecewiseLinear(tent.xs, tent.ys) == tent
+            assert all(type(v) is Fraction for v in tent.xs + tent.ys)
+            assert set(tent.xs) <= set(distinct)
+            for x in probes:
+                assert tent.at(x) == tent_at(distinct, k, x)
+
+    @pytest.mark.parametrize("name", list(NODE_SETS))
+    def test_tents_equal_the_reference(self, name):
+        self.check_against_reference(self.NODE_SETS[name])
+
+    def test_tents_equal_the_reference_on_random_node_lists(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            inner = [F(rng.randint(0, 24), 24) for _ in range(rng.randint(0, 8))]
+            nodes = inner + [F(0), F(1)] + rng.sample(inner, min(len(inner), 2))
+            rng.shuffle(nodes)
+            self.check_against_reference(nodes)
+
+    def test_a_float_node_is_refused(self):
+        with pytest.raises(InvariantError, match="floating point value 0.5 is not exact"):
+            hat_family((0, 0.5, 1))
+
 
 class TestPiecewiseMachinery:
     def test_compose_refines_nodes_exactly(self):
@@ -349,3 +390,21 @@ class TestPiecewiseMachinery:
     def test_integral_is_exact_on_trapezoids(self):
         g = PiecewiseLinear((F(0), F(1, 4), F(1)), (F(1), F(1, 2), F(1, 2)))
         assert g.definite_integral() == F(3, 4) * F(1, 2) + F(1, 4) * F(3, 4)
+
+    def test_integral_equals_the_trapezoid_reference(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            g = TestPushforwardAgainstOracle.random_test(rng)
+            ends = (F(rng.randint(0, 21), 21), F(rng.randint(0, 16), 16), F(0), F(1))
+            lo, hi = sorted(rng.sample(ends, 2))
+            assert g.definite_integral(lo, hi) == trapezoid_integral(g.xs, g.ys, lo, hi)
+            assert g.definite_integral(lo, lo) == 0
+            assert g.definite_integral() == trapezoid_integral(g.xs, g.ys, F(0), F(1))
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(F(-1, 4), F(1, 2)), (F(1, 4), F(5, 4)), (F(3, 4), F(1, 4)), (2, 3)]
+    )
+    def test_integral_refuses_a_range_outside_the_unit_interval(self, lo, hi):
+        g = PiecewiseLinear((F(0), F(1, 4), F(1)), (F(1), F(1, 2), F(1, 2)))
+        with pytest.raises(ValueError, match="bad integration range"):
+            g.definite_integral(lo, hi)

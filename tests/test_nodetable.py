@@ -51,24 +51,24 @@ def test_forward_matches_interpolation(graph, x):
 
 
 @given(graphs(monotone=True), st.fractions(min_value=-1, max_value=4, max_denominator=97))
-def test_inverse_is_the_leftmost_preimage(graph, t):
+def test_preimage_is_the_leftmost_preimage(graph, t):
     xs, ys = graph
     f = PiecewiseLinear(xs, ys)
     for level in ys + (t,):
-        x = f.inverse(level)
+        x = f.preimage(level.numerator, level.denominator)
         assert x == leftmost_preimage(xs, ys, level)
         if ys[0] <= level <= ys[-1]:
             assert interpolate(xs, ys, x) == level
             assert all(y < level for a, y in zip(xs, ys) if a < x)
 
 
-def test_inverse_skips_flat_stretches():
+def test_preimage_skips_flat_stretches():
     f = PiecewiseLinear((F(0), F(1, 4), F(1, 2), F(3, 4), F(1)), (F(0), F(0), F(1, 2), F(1, 2), F(1)))
-    assert f.inverse(F(0)) == 0
-    assert f.inverse(F(1, 4)) == F(3, 8)
-    assert f.inverse(F(1, 2)) == F(1, 2)
-    assert f.inverse(F(3, 4)) == F(7, 8)
-    assert f.inverse(F(2)) == 1
+    assert f.preimage(0, 1) == 0
+    assert f.preimage(1, 4) == F(3, 8)
+    assert f.preimage(1, 2) == F(1, 2)
+    assert f.preimage(3, 4) == F(7, 8)
+    assert f.preimage(2, 1) == 1
 
 
 @given(graphs(), unit)
@@ -136,7 +136,8 @@ def test_max_chain_endpoints_with_wide_denominators():
                 mass = m.table.forward(e)
                 assert mass == interpolate(xs, ys, e) == diffuse_in(m, ((F(0), e),))
                 if mass > 0:
-                    assert m.table.inverse(mass) == leftmost_preimage(xs, ys, mass)
+                    cut = m.table.preimage(mass.numerator, mass.denominator)
+                    assert cut == leftmost_preimage(xs, ys, mass)
 
 
 def test_fiber_table_reads_a_zero_density_stretch():

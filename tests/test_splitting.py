@@ -171,7 +171,7 @@ class TestSplit:
 
     def test_zero_coefficient_gives_empty(self):
         space = single(LEBESGUE)
-        assert split(space, space.whole_event(), (F(0),)).is_empty
+        assert split(space, space.whole_event(), (F(0),)) == EventSet.empty(space.n_fibers)
 
     def test_doubled_density_cut_point(self):
         m = FiberMeasure(breakpoints=(0, F(1, 2), 1), densities=(2, 0))
@@ -198,7 +198,7 @@ class TestSplit:
         space = single(m)
         c = space.whole_event()
         assert split(space, c, (F(1),)) == c
-        assert split(space, c, (F(0),)).is_empty
+        assert split(space, c, (F(0),)) == EventSet.empty(space.n_fibers)
 
     def test_atom_obstruction_when_target_needs_point_mass(self):
         m = FiberMeasure(atoms=((F(1, 2), F(1, 2)),), densities=(F(1, 2),))
