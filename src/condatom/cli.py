@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -308,6 +310,26 @@ def run(command: str, scenario: Scenario | None, **opts) -> dict:
     return data
 
 
+def _write_report(path: str, text: str) -> None:
+    """Write the report's UTF-8 bytes over the file at path, creating it
+    (mode 0o666 less the umask) when absent, then cut a regular file to
+    the report's length; /dev/null, pipes and ttys are written, not cut.
+    The file is not opened with O_TRUNC: on ext4 a file truncated to zero
+    is flushed when it is closed, which costs more than the report, and
+    writing in place never leaves the file empty, the state that flush
+    guards against. There is no fsync, so durability is best-effort."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:  # a short write leaves the rest for the next one
+            view = view[os.write(fd, view) :]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use; parse_args
@@ -330,6 +352,8 @@ def main(argv=None) -> int:
     scenario = None
     try:
         if args.scenario is not None:
+            if args.command == "selftest":
+                raise InputError("selftest does not take --scenario")
             with open(args.scenario, encoding="utf-8") as fh:
                 scenario = parse_scenario(fh.read())
         data = run(
@@ -340,16 +364,15 @@ def main(argv=None) -> int:
             count=args.count,
         )
         text = report_to_text(data)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        if args.out is not None:
+            _write_report(args.out, text)
     except (
         ScenarioError, InvariantError, MismatchError, InputError, AtomObstruction, OSError,
         UnicodeDecodeError,
     ) as e:
         print(f"condatom: {e}", file=sys.stderr)
         return 2
-    if not args.out:
+    if args.out is None:
         sys.stdout.write(text)
     return 0 if data["status"] == "pass" else 1
 
