@@ -2,7 +2,9 @@ import contextlib
 import copy
 import io
 import json
+import os
 import random
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -215,6 +217,67 @@ class TestCommandLine:
         code = "import sys, condatom.cli; print('condatom.selftest' in sys.modules)"
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (res.returncode, res.stdout, res.stderr) == (0, "False\n", "")
+
+
+class TestReportFile:
+    """--out is written over in place and cut to the report's length: it
+    ends up holding exactly the bytes the command prints to stdout."""
+
+    @staticmethod
+    def printed(argv, capsys):
+        assert main(argv) == 0
+        return capsys.readouterr().out.encode("utf-8")
+
+    @staticmethod
+    def written(argv, out, capsys):
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        return out.read_bytes()
+
+    @pytest.mark.parametrize(
+        "before", [b"x" * 10_000, b"{}", b""], ids=["longer", "shorter", "empty"]
+    )
+    def test_an_existing_file_holds_exactly_the_report(self, scenario_file, tmp_path, capsys, before):
+        argv = ["check", "--scenario", str(scenario_file)]
+        out = tmp_path / "r.json"
+        out.write_bytes(before)
+        assert self.written(argv, out, capsys) == self.printed(argv, capsys)
+
+    def test_a_deeper_report_is_replaced_by_a_shallower_one(self, scenario_file, tmp_path, capsys):
+        argv = ["family", "--scenario", str(scenario_file), "--depth"]
+        out = tmp_path / "r.json"
+        deep = self.written([*argv, "3"], out, capsys)
+        shallow = self.written([*argv, "0"], out, capsys)
+        assert len(shallow) < len(deep)
+        assert shallow == self.printed([*argv, "0"], capsys)
+
+    def test_devnull_is_written_not_cut(self, scenario_file, capsys):
+        assert main(["check", "--scenario", str(scenario_file), "--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_a_symlink_rewrites_its_target_and_stays(self, scenario_file, tmp_path, capsys):
+        argv = ["check", "--scenario", str(scenario_file)]
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_bytes(b"x" * 10_000)
+        link.symlink_to(target)
+        assert self.written(argv, link, capsys) == self.printed(argv, capsys)
+        assert link.is_symlink() and link.resolve() == target.resolve()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_a_new_file_has_mode_0o666_less_the_umask(self, scenario_file, tmp_path, capsys, umask):
+        out = tmp_path / "r.json"
+        before = os.umask(umask)
+        try:
+            self.written(["check", "--scenario", str(scenario_file)], out, capsys)
+        finally:
+            os.umask(before)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+    def test_an_empty_out_path_is_input_error(self, scenario_file, capsys):
+        assert main(["check", "--scenario", str(scenario_file), "--out", ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "condatom: [Errno 2] No such file or directory: ''\n"
 
 
 def test_main_returns_exit_code(scenario_file, capsys):
@@ -499,3 +562,6 @@ class TestCommandLineContract:
         assert capsys.readouterr().err == "condatom: check does not take --seed\n"
         assert main(["selftest", "--depth", "5"]) == 2
         assert capsys.readouterr().err == "condatom: selftest does not take --depth\n"
+        # refused before the file is opened: a missing path would say Errno 2
+        assert main(["selftest", "--scenario", str(GOLDEN / "missing.json")]) == 2
+        assert capsys.readouterr().err == "condatom: selftest does not take --scenario\n"
