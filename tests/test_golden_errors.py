@@ -9,8 +9,12 @@ recorded. An edit [path, value] sets the entry at path, and an edit
 edits put a bad rational at every location class, a non-pair interval,
 a wrong container at every level, unknown and missing keys, values that
 break each constructor invariant, bad strings that repeat earlier good
-ones, and JSON syntax errors. Like the report corpus, it is recorded
-once and never regenerated from the code it checks.
+ones, and JSON syntax errors. Cases with two errors in one dict (an
+unknown and a missing key, two missing keys, two bad fields of a fiber,
+slice, cell, measures or scenario) pin which error is reported first,
+and a set named with format braces is located by its name as written.
+Like the report corpus, it is recorded once and never regenerated from
+the code it checks.
 """
 
 import copy
