@@ -18,8 +18,10 @@ type invariant and names the violated one in the error.
 
 Parsing is one pass from text to the package's objects. Each distinct
 rational string is read once per parse, and its later occurrences
-share that Fraction. A dict's keys are checked with one subset test,
-and the location of a bad entry is formatted only when it fails. The
+share that Fraction. One reader per shape reads a rational, a list of
+rationals or a list of pairs, and one check covers every dict's keys.
+Each takes its location as a format string and arguments and formats
+it only on failure, so a good scenario builds no location text. The
 constructors take the parsed Fractions without coercing them again and
 check each invariant on ints; FiberMeasure hands the ints it checked
 to its table as the table's integer image.
@@ -85,29 +87,6 @@ def parse_scalar(value, where: str) -> Fraction:
         raise ScenarioError(f"{where}: {e}") from None
 
 
-def _scalars(values, where: str) -> tuple[Fraction, ...]:
-    """Parse a list of rationals; an entry's location is formatted only
-    when it fails."""
-    out = []
-    for j, x in enumerate(_expect(values, list, where)):
-        try:
-            out.append(_rational(x))
-        except ScenarioError as e:
-            raise ScenarioError(f"{where}[{j}]: {e}") from None
-    return tuple(out)
-
-
-def _pairs(values, where: str) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Parse a list of [lo, hi] pairs, located like _scalars."""
-    out = []
-    for j, pair in enumerate(_expect(values, list, where)):
-        pair_where = f"{where}[{j}]"
-        if len(_expect(pair, list, pair_where)) != 2:
-            raise ScenarioError(f"{pair_where}: expected a pair")
-        out.append(_scalars(pair, pair_where))
-    return tuple(out)
-
-
 class _Rationals(dict):
     """The rationals of one parse, by their text: each distinct string
     is read once, and its later occurrences share the one Fraction. A
@@ -115,9 +94,9 @@ class _Rationals(dict):
     own location, wherever it occurs. Only strings are kept: a kept int 1
     would be found for true and for 1.0, which must be refused.
 
-    Each reader takes its location as a format string and arguments,
-    formatted only when the value fails; the located readers above then
-    read the value again to name the failing entry."""
+    Each reader reads the whole value in one pass; only when that fails
+    does it read the value again, entry by entry through parse_scalar,
+    to name the failing entry."""
 
     def __missing__(self, value) -> Fraction:
         x = _rational(value)
@@ -137,7 +116,9 @@ class _Rationals(dict):
                 return tuple(map(self.__getitem__, values))
             except (ScenarioError, TypeError):
                 pass
-        return _scalars(values, where.format(*at))
+        _expect(values, list, where, *at)
+        where = where.format(*at)
+        return tuple([parse_scalar(x, f"{where}[{j}]") for j, x in enumerate(values)])
 
     def pairs(self, values, where: str, *at) -> tuple[tuple[Fraction, Fraction], ...]:
         if type(values) is list:
@@ -147,23 +128,25 @@ class _Rationals(dict):
                     return tuple(out)
             except (ScenarioError, TypeError):
                 pass
-        return _pairs(values, where.format(*at))
+        _expect(values, list, where, *at)
+        where = where.format(*at)
+        out = []
+        for j, pair in enumerate(values):
+            if len(_expect(pair, list, "{}[{}]", where, j)) != 2:
+                raise ScenarioError(f"{where}[{j}]: expected a pair")
+            out.append(tuple([parse_scalar(x, f"{where}[{j}][{k}]") for k, x in enumerate(pair)]))
+        return tuple(out)
 
 
 def format_scalar(value: Fraction) -> str:
     return str(value) if type(value) is Fraction else str(Fraction(value))
 
 
-def _expect(obj, typ, where: str):
+def _expect(obj, typ, where: str, *at):
     if not isinstance(obj, typ):
+        where = where.format(*at)
         raise ScenarioError(f"{where}: expected {typ.__name__}, got {type(obj).__name__}")
     return obj
-
-
-def _reject_unknown(obj: dict, allowed, where: str):
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
 
 
 _SCENARIO_KEYS = frozenset({"space", "sets", "h", "measures", "params"})
@@ -175,60 +158,48 @@ _FAMILY_KEYS = frozenset({"weights", "cells", "masses"})
 _CELL_KEYS = frozenset({"fiber", "lo", "hi"})
 
 
-def _check_keys(obj, allowed: frozenset, where: str):
-    """Refuse obj unless it is a dict with only allowed keys."""
-    _expect(obj, dict, where)
-    _reject_unknown(obj, allowed, where)
+def _check_keys(obj, allowed: frozenset, required: tuple, where: str, *at) -> dict:
+    """obj, if it is a dict with only allowed keys and every required
+    one; else an error naming a wrong type, else the unknown keys, else
+    the first missing key in the order of required."""
+    if type(obj) is dict and obj.keys() <= allowed:
+        if not required or all(map(obj.__contains__, required)):
+            return obj
+    _expect(obj, dict, where, *at)
+    where = where.format(*at)
+    unknown = obj.keys() - allowed
+    if unknown:
+        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = next(key for key in required if key not in obj)
+    raise ScenarioError(f"{where}: missing {missing!r}")
 
 
-def _parse_atoms(atoms, i: int, read: _Rationals) -> tuple[tuple[Fraction, Fraction], ...]:
-    if type(atoms) is not list:
-        _expect(atoms, list, f"space.fibers[{i}].atoms")
-    out = []
-    for j, a in enumerate(atoms):
-        if type(a) is not dict or not a.keys() <= _ATOM_KEYS:
-            _check_keys(a, _ATOM_KEYS, f"space.fibers[{i}].atoms[{j}]")
-        out.append(
+def _parse_fiber(obj, i: int, read: _Rationals) -> Fiber:
+    _check_keys(obj, _FIBER_KEYS, ("weight", "breakpoints", "densities"), "space.fibers[{}]", i)
+    atoms = []
+    for j, a in enumerate(_expect(obj.get("atoms", []), list, "space.fibers[{}].atoms", i)):
+        _check_keys(a, _ATOM_KEYS, (), "space.fibers[{}].atoms[{}]", i, j)
+        atoms.append(
             (
                 read.scalar(a.get("location"), "space.fibers[{}].atoms[{}].location", i, j),
                 read.scalar(a.get("weight"), "space.fibers[{}].atoms[{}].weight", i, j),
             )
         )
-    return tuple(out)
-
-
-def _parse_fiber(obj, i: int, read: _Rationals) -> Fiber:
-    if type(obj) is not dict or not obj.keys() <= _FIBER_KEYS:
-        _check_keys(obj, _FIBER_KEYS, f"space.fibers[{i}]")
-    for key in ("weight", "breakpoints", "densities"):
-        if key not in obj:
-            raise ScenarioError(f"space.fibers[{i}]: missing {key!r}")
     measure = FiberMeasure(
-        atoms=_parse_atoms(obj["atoms"], i, read) if "atoms" in obj else (),
+        atoms=tuple(atoms),
         breakpoints=read.scalars(obj["breakpoints"], "space.fibers[{}].breakpoints", i),
         densities=read.scalars(obj["densities"], "space.fibers[{}].densities", i),
     )
     return Fiber(read.scalar(obj["weight"], "space.fibers[{}].weight", i), measure)
 
 
-def _parse_space(obj, read: _Rationals) -> FiberedSpace:
-    if type(obj) is not dict or not obj.keys() <= _SPACE_KEYS:
-        _check_keys(obj, _SPACE_KEYS, "space")
-    fibers = obj.get("fibers")
-    if type(fibers) is not list:
-        _expect(fibers, list, "space.fibers")
-    return FiberedSpace(tuple([_parse_fiber(f, i, read) for i, f in enumerate(fibers)]))
-
-
 def _parse_event(obj, name: str, n_fibers: int, read: _Rationals) -> EventSet:
-    if type(obj) is not list:
-        _expect(obj, list, f"sets.{name}")
+    _expect(obj, list, "sets.{}", name)
     if len(obj) != n_fibers:
         raise InvariantError(f"sets.{name} covers {len(obj)} fibers, space has {n_fibers}")
     slices = []
     for i, part in enumerate(obj):
-        if type(part) is not dict or not part.keys() <= _SLICE_KEYS:
-            _check_keys(part, _SLICE_KEYS, f"sets.{name}[{i}]")
+        _check_keys(part, _SLICE_KEYS, (), "sets.{}[{}]", name, i)
         slices.append(
             FiberSlice(
                 read.pairs(part.get("intervals", []), "sets.{}[{}].intervals", name, i),
@@ -239,15 +210,10 @@ def _parse_event(obj, name: str, n_fibers: int, read: _Rationals) -> EventSet:
 
 
 def _parse_family(obj, read: _Rationals) -> MeasureFamily:
-    if type(obj) is not dict or not obj.keys() <= _FAMILY_KEYS:
-        _check_keys(obj, _FAMILY_KEYS, "measures")
-    for key in ("weights", "cells", "masses"):
-        if key not in obj:
-            raise ScenarioError(f"measures: missing {key!r}")
+    _check_keys(obj, _FAMILY_KEYS, ("weights", "cells", "masses"), "measures")
     cells = []
     for j, c in enumerate(_expect(obj["cells"], list, "measures.cells")):
-        if type(c) is not dict or not c.keys() <= _CELL_KEYS:
-            _check_keys(c, _CELL_KEYS, f"measures.cells[{j}]")
+        _check_keys(c, _CELL_KEYS, (), "measures.cells[{}]", j)
         fiber = c.get("fiber")
         if type(fiber) is not int:  # JSON gives int, or bool for true and false
             raise ScenarioError(f"measures.cells[{j}].fiber: expected an integer")
@@ -305,12 +271,11 @@ def parse_scenario(text: str) -> Scenario:
         # nesting deeper than the interpreter's recursion limit, or an
         # integer literal longer than int's digit limit
         raise ScenarioError(f"parse error: {e}") from None
-    if type(obj) is not dict or not obj.keys() <= _SCENARIO_KEYS:
-        _check_keys(obj, _SCENARIO_KEYS, "scenario")
-    if "space" not in obj:
-        raise ScenarioError("scenario: missing 'space'")
+    _check_keys(obj, _SCENARIO_KEYS, ("space",), "scenario")
     read = _Rationals()
-    space = _parse_space(obj["space"], read)
+    fibers = _check_keys(obj["space"], _SPACE_KEYS, (), "space").get("fibers")
+    fibers = _expect(fibers, list, "space.fibers")
+    space = FiberedSpace(tuple([_parse_fiber(f, i, read) for i, f in enumerate(fibers)]))
     sets = {}
     for name, body in _expect(obj.get("sets", {}), dict, "sets").items():
         event = _parse_event(body, name, space.n_fibers, read)
@@ -344,10 +309,6 @@ def fiber_to_json(fiber: Fiber) -> dict:
     return out
 
 
-def space_to_json(space: FiberedSpace) -> dict:
-    return {"fibers": [fiber_to_json(f) for f in space.fibers]}
-
-
 def event_to_json(event: EventSet) -> list:
     return [
         {
@@ -370,7 +331,7 @@ def family_to_json(family: MeasureFamily) -> dict:
 
 
 def scenario_to_json(sc: Scenario) -> dict:
-    out: dict = {"space": space_to_json(sc.space)}
+    out: dict = {"space": {"fibers": [fiber_to_json(f) for f in sc.space.fibers]}}
     if sc.sets:
         out["sets"] = {name: event_to_json(e) for name, e in sorted(sc.sets.items())}
     if sc.h is not None:
