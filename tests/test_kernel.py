@@ -237,6 +237,19 @@ class TestPushforwardResiduals:
             assert all(r == 0 for row in residuals for r in row)
             assert all(vars(t).keys() == {"xs", "ys"} for t in tents)
 
+    def test_an_iterator_of_tests_reaches_every_fiber(self):
+        # fiber 1's variable sends [0, 1/2) onto [0, 1/4), so its
+        # pushforward is not uniform; a generator of the same tents must
+        # give the residuals a tuple gives, not an empty row past fiber 0
+        space = FiberedSpace((Fiber(F(1, 2), LEBESGUE), Fiber(F(1, 2), LEBESGUE)))
+        identity = PiecewiseLinear((F(0), F(1)), (F(0), F(1)))
+        bent = PiecewiseLinear((F(0), F(1, 2), F(1)), (F(0), F(1, 4), F(1)))
+        rv = UniformRV((identity, bent))
+        tents = hat_family((F(0), F(1, 4), F(1, 2), F(1)))
+        expected = ((0, 0, 0, 0), (F(1, 8), F(1, 12), F(-1, 8), F(-1, 12)))
+        assert pushforward_uniformity_check(space, rv, tents) == expected
+        assert pushforward_uniformity_check(space, rv, (t for t in tents)) == expected
+
     def test_atom_produces_nonzero_residual(self):
         # half the mass sits at one point, so some tent must see it
         m = FiberMeasure(
