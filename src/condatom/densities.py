@@ -255,6 +255,10 @@ def to_fibered_space(family: MeasureFamily, partition: CellPartition) -> Fibered
     their span. The variable uniform within every block is
     build_uniform of this space, which refuses it when a block holds a
     positive site."""
+    if len(partition.blocks) != family.n_cells:
+        raise MismatchError(
+            f"partition covers {len(partition.blocks)} cells, family has {family.n_cells}"
+        )
 
     def position(c):
         cell = family.cells[c]

@@ -229,3 +229,9 @@ class TestRegroupedSpace:
         space = to_fibered_space(lebesgue_vs_doubled, partition)
         assert tuple(f.weight for f in space.fibers) == (F(3, 4), F(1, 4))
         assert space.measure(space.whole_event()) == 1
+
+    @pytest.mark.parametrize("blocks", [(0,), (0, 1, 1)], ids=["shorter", "longer"])
+    def test_a_partition_of_the_wrong_length_is_refused(self, lebesgue_vs_doubled, blocks):
+        message = f"partition covers {len(blocks)} cells, family has 2"
+        with pytest.raises(MismatchError, match=message):
+            to_fibered_space(lebesgue_vs_doubled, CellPartition(blocks))
