@@ -136,10 +136,6 @@ class FiberMeasure:
         object.__setattr__(self, "diffuse_cumulative", ys)
         object.__setattr__(self, "table", PiecewiseLinear.trusted(bps, ys, (lx, X, ly, Y)))
 
-    @property
-    def diffuse_total(self) -> Fraction:
-        return self.diffuse_cumulative[-1]
-
     @cached_property
     def atom_weight(self) -> dict[Fraction, Fraction]:
         return dict(self.atoms)
@@ -153,8 +149,9 @@ class FiberMeasure:
         return self.table.forward(as_fraction(x))
 
     def quantiles(self, levels) -> tuple[Fraction, ...]:
-        """For each t of the nondecreasing levels, each in (0, diffuse_total],
-        the leftmost y with diffuse mass of [0, y) exactly t. Range and
+        """For each t of the nondecreasing levels, each in (0, d] for d the
+        fiber's diffuse mass diffuse_cumulative[-1], the leftmost y with
+        diffuse mass of [0, y) exactly t. Range and
         order are checked on the table's integer image by
         cross-multiplication."""
         table = self.table

@@ -113,7 +113,7 @@ def test_fiber_table_on_generated_measures(params):
             xs, ys = m.breakpoints, m.diffuse_cumulative
             for x in xs + (F(rng.randrange(0, 97), 96),):
                 assert m.prefix_diffuse(x) == diffuse_in(m, ((F(0), x),)) == interpolate(xs, ys, x)
-            t = F(rng.randrange(1, 97), 96) * m.diffuse_total
+            t = F(rng.randrange(1, 97), 96) * m.diffuse_cumulative[-1]
             assert m.quantiles((t,)) == (leftmost_preimage(xs, ys, t),)
 
 

@@ -159,7 +159,7 @@ class TestQuantileLevelCheck:
     def test_int_check_matches_the_fraction_check(self, data, seed):
         fiber = generate_space(random.Random(seed), FULL_MIXED).fibers[0]
         m = fiber.measure
-        levels = data.draw(levels_near_the_edges(m.diffuse_total))
+        levels = data.draw(levels_near_the_edges(m.diffuse_cumulative[-1]))
         message = fraction_level_check(m, levels)
         if message is None:
             xs, ys = m.breakpoints, m.diffuse_cumulative
@@ -171,7 +171,7 @@ class TestQuantileLevelCheck:
 
     def test_edges_of_the_range(self):
         m = FiberMeasure(atoms=((F(1, 3), F(1, 3)),), breakpoints=(0, F(1, 2), 1), densities=(1, F(1, 3)))
-        total = m.diffuse_total
+        total = m.diffuse_cumulative[-1]
         assert total == F(2, 3)
         assert m.quantiles((total,)) == (1,)
         assert m.quantiles((F(1, 4), F(1, 4), total, total)) == (F(1, 4), F(1, 4), 1, 1)

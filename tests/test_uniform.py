@@ -302,14 +302,14 @@ class TestOneTablePerFiber:
 
     def test_set_at_level_at_a_fibers_diffuse_total(self):
         space = FiberedSpace((Fiber(F(1, 2), TWO_ATOMS), Fiber(F(1, 2), LEBESGUE)))
-        t = TWO_ATOMS.diffuse_total
+        t = TWO_ATOMS.diffuse_cumulative[-1]
         event = set_at_level(space, t)
         for fiber, part in zip(space.fibers, event.slices):
             self.assert_prefix(fiber.measure, part, t)
 
     def test_set_at_level_just_above_a_fibers_diffuse_total(self):
         space = FiberedSpace((Fiber(F(1, 2), LEBESGUE), Fiber(F(1, 2), TWO_ATOMS)))
-        t = TWO_ATOMS.diffuse_total + F(1, 2**70)
+        t = TWO_ATOMS.diffuse_cumulative[-1] + F(1, 2**70)
         with pytest.raises(AtomObstruction) as info:
             set_at_level(space, t)
         assert (info.value.fiber, info.value.location) == (1, F(1, 4))
@@ -321,14 +321,14 @@ class TestOneTablePerFiber:
 
     def test_level_set_up_to_a_cdfs_last_value(self):
         rv = UniformRV((TWO_ATOMS.table,))
-        top = TWO_ATOMS.diffuse_total
+        top = TWO_ATOMS.diffuse_cumulative[-1]
         for t in (F(1, 3), top - F(1, 2**70), top):
             self.assert_prefix(TWO_ATOMS, level_set(rv, t).slices[0], t)
 
     @pytest.mark.parametrize("above", [F(1, 2**70), F(1, 8), F(1, 4), F(5, 4)])
     def test_level_set_above_a_cdfs_last_value_is_the_whole_line(self, above):
         rv = UniformRV((TWO_ATOMS.table,))
-        t = TWO_ATOMS.diffuse_total + above
+        t = TWO_ATOMS.diffuse_cumulative[-1] + above
         assert level_set(rv, t).slices[0].intervals == ((F(0), F(1)),)
 
     @pytest.mark.parametrize(
