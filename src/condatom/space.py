@@ -151,9 +151,8 @@ class FiberMeasure:
     def quantiles(self, levels) -> tuple[Fraction, ...]:
         """For each t of the nondecreasing levels, each in (0, d] for d the
         fiber's diffuse mass diffuse_cumulative[-1], the leftmost y with
-        diffuse mass of [0, y) exactly t. Range and
-        order are checked on the table's integer image by
-        cross-multiplication."""
+        diffuse mass of [0, y) exactly t. Range and order are checked on
+        the table's integer image by cross-multiplication."""
         table = self.table
         Y, ly = table.Y, table.ly
         out = []

@@ -7,9 +7,8 @@ from pathlib import Path
 
 from condatom import parse_scenario
 
-ROOT = Path(__file__).parent.parent
-README = (ROOT / "README.md").read_text(encoding="utf-8")
-GOLDEN = ROOT / "tests" / "golden" / "readme.json"
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+GOLDEN = Path(__file__).parent / "golden" / "readme.json"
 
 
 def block(language: str) -> str:
